@@ -24,8 +24,10 @@
     point's flow run, so the engine keeps its workers alive across sweeps:
     the first multi-worker sweep spawns them, later sweeps hand the pool a
     fresh job (an atomic work-stealing counter over the todo array) under
-    a mutex/condition pair, and {!shutdown} — also registered with
-    [at_exit] — joins them. *)
+    a mutex/condition pair, and {!shutdown} joins them.  Spawning a pool
+    also registers [at_exit] for that pool alone, so leftover domains are
+    joined at exit while an engine without a pool — or a dropped one — is
+    never kept reachable. *)
 
 module Flow = Hls_flow.Flow
 module Diag = Hls_diag.Diag
@@ -236,10 +238,7 @@ let shutdown t =
       Pool.shutdown pool;
       t.pool <- None
 
-let create () =
-  let t = { cache = Hashtbl.create 64; hints = Hashtbl.create 8; runs = 0; pool = None } in
-  at_exit (fun () -> shutdown t);
-  t
+let create () = { cache = Hashtbl.create 64; hints = Hashtbl.create 8; runs = 0; pool = None }
 
 let runs_performed t = t.runs
 
@@ -358,6 +357,9 @@ let sweep_batch ?(jobs = 1) ?max_workers t ~options design points =
         | Some p when Pool.alive p -> p
         | _ ->
             let p = Pool.create ~workers:(workers - 1) () in
+            (* the hook holds the pool, not the engine, so a dropped
+               engine and its memo can still be collected *)
+            at_exit (fun () -> Pool.shutdown p);
             t.pool <- Some p;
             p
       in

@@ -181,8 +181,10 @@ val hint_store_key : options:Hls_flow.Flow.options -> Hls_frontend.Ast.design ->
 
 val shutdown : t -> unit
 (** Join the engine's resident worker domains (no-op when none were ever
-    spawned).  Also registered with [at_exit]; safe to call more than
-    once — a later sweep simply spawns a fresh pool. *)
+    spawned); safe to call more than once — a later sweep simply spawns a
+    fresh pool.  A spawned pool is also joined at exit by an [at_exit]
+    hook that holds the pool alone, so the engine itself stays
+    collectable once dropped. *)
 
 val validate_jobs : int -> (int, Hls_diag.Diag.t) Stdlib.result
 (** Reject non-positive worker counts with a typed [Explore]-phase

@@ -80,8 +80,14 @@ let connect ?(distance = 0) ?(dim = 0) g ~src ~dst ~port =
   if dim > 0 && distance = 0 then invalid_arg "Dfg.connect: dim tag on a distance-0 edge";
   let e = { src; dst; port; distance; dim } in
   let inr = edges_ref g.ins dst in
-  (* at most one edge per (dst, port) *)
-  inr := e :: List.filter (fun e' -> e'.port <> port) !inr;
+  (* at most one edge per (dst, port); the list stays sorted by port, so
+     [in_edges] needs no sort ([remove_op]/[replace_uses] only filter) *)
+  let rec insert = function
+    | e' :: rest when e'.port < port -> e' :: insert rest
+    | e' :: rest when e'.port = port -> e :: rest
+    | rest -> e :: rest
+  in
+  inr := insert !inr;
   let outr = edges_ref g.outs src in
   outr := e :: List.filter (fun e' -> not (e'.dst = dst && e'.port = port)) !outr
 
@@ -95,11 +101,8 @@ let set_kind g id kind =
     invalid_arg "Dfg.set_kind: arity change";
   op.kind <- kind
 
-(** Incoming edges of [id], sorted by port. *)
-let in_edges g id =
-  match Hashtbl.find_opt g.ins id with
-  | None -> []
-  | Some r -> List.sort (fun a b -> compare a.port b.port) !r
+(** Incoming edges of [id], sorted by port (kept so by {!connect}). *)
+let in_edges g id = match Hashtbl.find_opt g.ins id with None -> [] | Some r -> !r
 
 let out_edges g id = match Hashtbl.find_opt g.outs id with None -> [] | Some r -> !r
 

@@ -198,43 +198,56 @@ let is_commutative = function
   | Bin (Add | Mul | Band | Bor | Bxor | Land | Lor | Eq | Neq) -> true
   | _ -> false
 
+let b2i b = if b then 1 else 0
+
+(** Two-operand arithmetic, logic and comparison.  Widths are applied by
+    the caller via {!Width.truncate}; division and modulo by zero give 0,
+    shift amounts are taken modulo 64. *)
+let eval_bin op a b =
+  match op with
+  | Add -> a + b
+  | Sub -> a - b
+  | Mul -> a * b
+  | Div -> if b = 0 then 0 else a / b
+  | Mod -> if b = 0 then 0 else a mod b
+  | Shl -> a lsl (b land 63)
+  | Shr -> a asr (b land 63)
+  | Band -> a land b
+  | Bor -> a lor b
+  | Bxor -> a lxor b
+  | Land -> b2i (a <> 0 && b <> 0)
+  | Lor -> b2i (a <> 0 || b <> 0)
+  | Eq -> b2i (a = b)
+  | Neq -> b2i (a <> b)
+  | Lt -> b2i (a < b)
+  | Le -> b2i (a <= b)
+  | Gt -> b2i (a > b)
+  | Ge -> b2i (a >= b)
+
+(** One-operand kinds: [Un], [Slice], [Zext] and [Sext] (a plain copy:
+    the result width re-signs it). *)
+let eval_unary kind a =
+  match kind with
+  | Un Neg -> -a
+  | Un Bnot -> lnot a
+  | Un Lnot -> b2i (a = 0)
+  | Slice (hi, lo) ->
+      let v = a asr lo in
+      let width = hi - lo + 1 in
+      if width >= 62 then v else v land ((1 lsl width) - 1)
+  | Zext n -> if n >= 62 then a else a land ((1 lsl n) - 1)
+  | Sext _ -> a
+  | k -> invalid_arg ("Opkind.eval_unary: " ^ to_string k)
+
 (** Evaluate a kind over concrete operand values; widths are applied by the
     caller via {!Width.truncate}.  [Read]/[Write]/[Call] are handled by the
     simulators, not here. *)
 let eval_pure kind args =
   let a i = List.nth args i in
-  let b2i b = if b then 1 else 0 in
   match kind with
-  | Bin Add -> Some (a 0 + a 1)
-  | Bin Sub -> Some (a 0 - a 1)
-  | Bin Mul -> Some (a 0 * a 1)
-  | Bin Div -> if a 1 = 0 then Some 0 else Some (a 0 / a 1)
-  | Bin Mod -> if a 1 = 0 then Some 0 else Some (a 0 mod a 1)
-  | Bin Shl -> Some (a 0 lsl (a 1 land 63))
-  | Bin Shr -> Some (a 0 asr (a 1 land 63))
-  | Bin Band -> Some (a 0 land a 1)
-  | Bin Bor -> Some (a 0 lor a 1)
-  | Bin Bxor -> Some (a 0 lxor a 1)
-  | Bin Land -> Some (b2i (a 0 <> 0 && a 1 <> 0))
-  | Bin Lor -> Some (b2i (a 0 <> 0 || a 1 <> 0))
-  | Bin Eq -> Some (b2i (a 0 = a 1))
-  | Bin Neq -> Some (b2i (a 0 <> a 1))
-  | Bin Lt -> Some (b2i (a 0 < a 1))
-  | Bin Le -> Some (b2i (a 0 <= a 1))
-  | Bin Gt -> Some (b2i (a 0 > a 1))
-  | Bin Ge -> Some (b2i (a 0 >= a 1))
-  | Un Neg -> Some (-(a 0))
-  | Un Bnot -> Some (lnot (a 0))
-  | Un Lnot -> Some (b2i (a 0 = 0))
+  | Bin op -> Some (eval_bin op (a 0) (a 1))
+  | Un _ | Slice _ | Zext _ | Sext _ -> Some (eval_unary kind (a 0))
   | Const n -> Some n
   | Mux -> Some (if a 0 <> 0 then a 1 else a 2)
-  | Slice (hi, lo) ->
-      let v = a 0 asr lo in
-      let width = hi - lo + 1 in
-      Some (if width >= 62 then v else v land ((1 lsl width) - 1))
-  | Zext n ->
-      let v = a 0 in
-      Some (if n >= 62 then v else v land ((1 lsl n) - 1))
-  | Sext _ -> Some (a 0)
   | Concat -> None (* needs operand widths; simulators handle it *)
   | Loop_mux | Read _ | Write _ | Call _ -> None

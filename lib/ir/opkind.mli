@@ -91,7 +91,17 @@ val is_resource_op : t -> bool
 
 val is_commutative : t -> bool
 
+val eval_bin : binop -> int -> int -> int
+(** Two-operand evaluation (callers apply {!Width.truncate}): division
+    and modulo by zero give 0, shift amounts are taken modulo 64. *)
+
+val eval_unary : t -> int -> int
+(** One-operand evaluation of [Un], [Slice], [Zext] and [Sext] (callers
+    apply {!Width.truncate}).  @raise Invalid_argument on other kinds. *)
+
 val eval_pure : t -> int list -> int option
 (** Evaluate over concrete operands (callers apply {!Width.truncate}).
     [None] for stateful/contextual kinds ([Read], [Write], [Loop_mux],
-    [Call], [Concat]) — the simulators handle those. *)
+    [Call], [Concat]) — the simulators handle those.  Defined through
+    {!eval_bin} and {!eval_unary}, so every evaluator shares one
+    semantics. *)

@@ -222,66 +222,59 @@ let emit (elab : Hls_frontend.Elaborate.t) (sched : Scheduler.t) (fold : Pipelin
     module/endmodule pairs, and every generated [vNN_*]/[..._r] identifier
     referenced is also declared.  Returns problems found (empty = clean). *)
 let lint (src : string) : string list =
-  let errs = ref [] in
   let is_ident_char c =
     (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
   in
-  (* tokenize into identifiers *)
-  let tokens = ref [] in
   let n = String.length src in
-  let i = ref 0 in
-  while !i < n do
-    if is_ident_char src.[!i] then begin
-      let j = ref !i in
-      while !j < n && is_ident_char src.[!j] do
-        incr j
-      done;
-      tokens := String.sub src !i (!j - !i) :: !tokens;
-      i := !j
-    end
-    else incr i
-  done;
-  let tokens = List.rev !tokens in
-  let count t = List.length (List.filter (( = ) t) tokens) in
-  if count "begin" <> count "end" then
-    errs := Printf.sprintf "begin/end imbalance (%d vs %d)" (count "begin") (count "end") :: !errs;
-  if count "module" <> count "endmodule" then errs := "module/endmodule imbalance" :: !errs;
-  (* declarations: identifiers on lines containing wire/reg/input/output *)
-  let declared = Hashtbl.create 128 in
-  List.iter
-    (fun line ->
-      let has kw =
-        let kl = String.length kw and ll = String.length line in
-        let rec go k = k + kl <= ll && (String.sub line k kl = kw || go (k + 1)) in
-        go 0
-      in
-      if has "wire" || has "reg " || has "input" || has "output" then begin
-        (* last identifier before ; or , or = is the declared name; simply
-           mark all identifiers on declaration lines as declared *)
-        let li = ref 0 and ll = String.length line in
-        while !li < ll do
-          if is_ident_char line.[!li] then begin
-            let j = ref !li in
-            while !j < ll && is_ident_char line.[!j] do
-              incr j
-            done;
-            Hashtbl.replace declared (String.sub line !li (!j - !li)) ();
-            li := !j
-          end
-          else incr li
-        done
-      end)
-    (String.split_on_char '\n' src);
-  let is_generated id =
-    String.length id > 1
-    && id.[0] = 'v'
-    && id.[1] >= '0'
-    && id.[1] <= '9'
+  (* does [src] hold [kw] at [k] (from [kw]'s index [j] on) *)
+  let rec matches kw k j = j = String.length kw || (src.[k + j] = kw.[j] && matches kw k (j + 1)) in
+  let occurs kw lo hi =
+    let rec go k = k + String.length kw <= hi && (matches kw k 0 || go (k + 1)) in
+    go lo
   in
+  let is_token kw lo hi = hi - lo = String.length kw && matches kw lo 0 in
+  let is_generated lo hi = hi - lo > 1 && src.[lo] = 'v' && src.[lo + 1] >= '0' && src.[lo + 1] <= '9' in
+  (* one pass, line by line: count the block keywords, and split the
+     generated identifiers ([v<digit>...]) into declared ones — every
+     identifier on a line containing wire/reg/input/output — and uses *)
+  let begins = ref 0 and ends = ref 0 and modules = ref 0 and endmodules = ref 0 in
+  let declared = Hashtbl.create 128 in
+  let uses = ref [] in
+  let lo = ref 0 in
+  while !lo <= n do
+    let hi = Option.value (String.index_from_opt src !lo '\n') ~default:n in
+    let decl = occurs "wire" !lo hi || occurs "reg " !lo hi || occurs "input" !lo hi || occurs "output" !lo hi in
+    let i = ref !lo in
+    while !i < hi do
+      if is_ident_char src.[!i] then begin
+        let j = ref !i in
+        while !j < hi && is_ident_char src.[!j] do
+          incr j
+        done;
+        let a = !i and b = !j in
+        if is_generated a b then begin
+          let id = String.sub src a (b - a) in
+          if decl then Hashtbl.replace declared id () else uses := id :: !uses
+        end
+        else if is_token "begin" a b then incr begins
+        else if is_token "end" a b then incr ends
+        else if is_token "module" a b then incr modules
+        else if is_token "endmodule" a b then incr endmodules;
+        i := b
+      end
+      else incr i
+    done;
+    lo := hi + 1
+  done;
+  let errs = ref [] in
+  if !begins <> !ends then errs := [ Printf.sprintf "begin/end imbalance (%d vs %d)" !begins !ends ];
+  if !modules <> !endmodules then errs := "module/endmodule imbalance" :: !errs;
+  let reported = Hashtbl.create 8 in
   List.iter
-    (fun tok ->
-      if is_generated tok && not (Hashtbl.mem declared tok) then
-        let msg = "undeclared identifier: " ^ tok in
-        if not (List.mem msg !errs) then errs := msg :: !errs)
-    tokens;
+    (fun id ->
+      if not (Hashtbl.mem declared id || Hashtbl.mem reported id) then begin
+        Hashtbl.replace reported id ();
+        errs := ("undeclared identifier: " ^ id) :: !errs
+      end)
+    (List.rev !uses);
   List.rev !errs

@@ -109,6 +109,24 @@ let test_copy_isolation () =
   (Dfg.find g' a).Dfg.name <- "changed";
   Alcotest.(check bool) "copy does not alias" false ((Dfg.find g a).Dfg.name = "changed")
 
+let test_in_edges_port_order () =
+  let g = mk () in
+  let srcs = Array.init 5 (fun i -> add g (Opkind.Const i) ~width:4) in
+  let m = add g Opkind.Mux ~width:4 in
+  let ports () = List.map (fun e -> e.Dfg.port) (Dfg.in_edges g m) in
+  Dfg.connect g ~src:srcs.(0) ~dst:m ~port:2;
+  Dfg.connect g ~src:srcs.(1) ~dst:m ~port:0;
+  Dfg.connect g ~src:srcs.(2) ~dst:m ~port:1;
+  Alcotest.(check (list int)) "connected out of order" [ 0; 1; 2 ] (ports ());
+  Dfg.connect g ~src:srcs.(3) ~dst:m ~port:1;
+  Alcotest.(check (list int)) "reconnect keeps the order" [ srcs.(1); srcs.(3); srcs.(0) ] (Dfg.preds g m);
+  Dfg.replace_uses g ~old_id:srcs.(1) ~by:srcs.(4);
+  Alcotest.(check (list int)) "replace_uses keeps the order" [ srcs.(4); srcs.(3); srcs.(0) ]
+    (Dfg.preds g m);
+  Dfg.remove_op g srcs.(3);
+  Alcotest.(check (list int)) "remove_op keeps the order" [ 0; 2 ] (ports ());
+  Alcotest.(check (list int)) "remaining producers" [ srcs.(4); srcs.(0) ] (Dfg.preds g m)
+
 let suite =
   [
     Alcotest.test_case "build and find" `Quick test_build_and_find;
@@ -120,4 +138,5 @@ let suite =
     Alcotest.test_case "validate errors" `Quick test_validate_errors;
     Alcotest.test_case "fanout cone" `Quick test_fanout_cone;
     Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
+    Alcotest.test_case "in_edges port order" `Quick test_in_edges_port_order;
   ]

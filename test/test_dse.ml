@@ -235,6 +235,23 @@ let test_engine_pool_rebuild () =
   Alcotest.(check int) "same point count after rebuild"
     (List.length s1.Dse.sw_results) (List.length s2.Dse.sw_results)
 
+(* A dropped engine is garbage: nothing global (an exit hook, say) may keep
+   it and its memo alive.  Both a serial sweep and a pooled one that was
+   shut down leave the engine collectable. *)
+let test_engine_collectable () =
+  let collected = ref 0 in
+  let[@inline never] sweep_and_drop ~jobs =
+    let engine = Dse.create () in
+    Gc.finalise (fun _ -> incr collected) engine;
+    ignore (Dse.sweep ~jobs ~max_workers:jobs engine ~options:base_options (design ()) (example1_points ()));
+    Dse.shutdown engine
+  in
+  sweep_and_drop ~jobs:1;
+  sweep_and_drop ~jobs:2;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "both engines finalised" 2 !collected
+
 let suite =
   [
     Alcotest.test_case "determinism across worker counts" `Quick test_determinism_across_jobs;
@@ -243,6 +260,7 @@ let suite =
     Alcotest.test_case "pool drains its backlog" `Quick test_pool_drains_backlog;
     Alcotest.test_case "engine pool rebuild after shutdown" `Quick test_engine_pool_rebuild;
     Alcotest.test_case "--jobs validation" `Quick test_validate_jobs;
+    Alcotest.test_case "dropped engine is collected" `Quick test_engine_collectable;
     Alcotest.test_case "memo cache: zero re-runs" `Quick test_cache_hits;
     Alcotest.test_case "overlapping and duplicated sweeps" `Quick test_overlapping_sweep;
     Alcotest.test_case "grid parsing" `Quick test_grid_parse;

@@ -105,6 +105,23 @@ let test_verilog_lint_catches () =
   Alcotest.(check bool) "undeclared id reported" true
     (Hls_rtl.Verilog.lint "module m; assign v1_x = v2_ghost; endmodule" <> [])
 
+(* the exact report, in order: block balance first, then each undeclared
+   generated identifier once, at its first use; a line containing
+   wire/reg/input/output anywhere (even inside an identifier) declares
+   every identifier on it *)
+let test_verilog_lint_report () =
+  let lint = Hls_rtl.Verilog.lint in
+  Alcotest.(check (list string)) "unbalanced begin" [ "begin/end imbalance (2 vs 1)" ]
+    (lint "module m;\nwire v1_a;\nalways @(*) begin\n  if (v1_a) begin\n    v1_a = 1;\n  end\nendmodule\n");
+  Alcotest.(check (list string)) "truncated module"
+    [ "begin/end imbalance (1 vs 0)"; "module/endmodule imbalance"; "undeclared identifier: v4_y" ]
+    (lint "module m(input clk);\nwire v3_x;\nassign v3_x = v4_y;\nalways @(posedge clk) begin\n  v3_x <= ");
+  Alcotest.(check (list string)) "repeated undeclared identifiers"
+    [ "undeclared identifier: v2_b"; "undeclared identifier: v3_c"; "undeclared identifier: v9" ]
+    (lint
+       "module m;\nwire v1_a;\nassign v1_a = v2_b + v3_c;\nassign v1_a = v2_b;\n\
+        assign v8_o = v7_inputs;\nassign v1_a = v3_c ^ v9;\nendmodule\n")
+
 let suite =
   [
     Alcotest.test_case "regalloc covers registered values" `Quick test_regalloc_example1;
@@ -115,4 +132,5 @@ let suite =
     Alcotest.test_case "verilog pipelined emission" `Quick test_verilog_emission;
     Alcotest.test_case "verilog sequential emission" `Quick test_verilog_sequential;
     Alcotest.test_case "verilog lint" `Quick test_verilog_lint_catches;
+    Alcotest.test_case "verilog lint report" `Quick test_verilog_lint_report;
   ]

@@ -125,6 +125,105 @@ let test_exec_counts_reflect_guards () =
             (n <= sim.Hls_sim.Schedule_sim.r_issued))
         sim.Hls_sim.Schedule_sim.r_exec_counts
 
+(* ------------------------------------------------------------------ *)
+(* Exactness: a digest of every field of [Schedule_sim.result], pinned
+   for the benchmark corpus (the built-in designs but idct8x8 and the
+   examples/*.bhv sources, sequential and at II=1 and II=2, 1600 ps).
+   Each configuration is simulated under the flow's stimulus and under a
+   full-width random one.  Under the flow's stimulus the set covers
+   guarded writes (sobel, gemm4, matmul), loop exits before the stimulus
+   ends and pipelined squash (gemm4, matmul: 64 iterations committed, 65
+   issued at II=1).  A mismatch means the
+   simulator's observable behaviour changed — or the schedule did, if the
+   scheduler was touched. *)
+
+let exact_repr b (r : Hls_sim.Schedule_sim.result) =
+  let open Hls_sim.Schedule_sim in
+  List.iter
+    (fun o -> Printf.bprintf b "%s:%d:%d:%d;" o.o_port o.o_iter o.o_cycle o.o_value)
+    r.r_outputs;
+  Printf.bprintf b "|%d|%d|%d|" r.r_iters r.r_cycles r.r_issued;
+  Hashtbl.fold (fun id n acc -> (id, n) :: acc) r.r_exec_counts []
+  |> List.sort compare
+  |> List.iter (fun (id, n) -> Printf.bprintf b "%d=%d;" id n);
+  Buffer.add_char b '\n'
+
+let exact_source name =
+  match List.assoc_opt name Hls_server.Design_db.builtins with
+  | Some f -> f ()
+  | None ->
+      let ic = open_in_bin (Filename.concat "../examples" (name ^ ".bhv")) in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Parser.parse_string text
+
+(* design -> digests at seq, II=1, II=2 *)
+let exact_expected =
+  [
+    ( "example1",
+      [ "346d6049ef8aabcf5cb0b67edc84d069"; "ab9e6ee4f044dbabcd7389e73af9e71d"; "a2cc97ba74409176106c92444e673fa6" ] );
+    ( "fir8",
+      [ "5581c8d423bfc6defd063f4568cb5c55"; "2d4219f973c46c9f68676cd58520dd7f"; "1367e4d1104e1fb47e5761d6f8b69245" ] );
+    ( "fir16",
+      [ "9cb420e805e0f9ca51c8cec1e277451a"; "781a16328f44328309cf1c06aaf9ee03"; "f6e708ffdfe7792c34514fa5f2c354dc" ] );
+    ( "fft",
+      [ "7ab0f3bd2c5b6b7eff3654fa9a677f67"; "0f5599ecd02dafcc7353007a9fb4f51b"; "4d1e796512679ee90f84ffcca029b3c3" ] );
+    ( "idct",
+      [ "f66268c7511f184c4ad5b4526656cb34"; "844698b4f18c8f7c1bcd842595eca770"; "42a6a9bb9c30ddcbbf9d29eee82d9b0e" ] );
+    ( "sobel",
+      [ "306c417604d6765302dafda4522c0f49"; "0131046c61dc3a011d0e170e0cc90b49"; "9bf4446ef366ac2afdc89e9043da1314" ] );
+    ( "dotprod",
+      [ "5fe74b5a850069e7acafd95af3d892fd"; "2b5c8a98e5988917a9f84aa7836e40db"; "0791406dd5619fc6c2ed027e70cfc243" ] );
+    ( "agc",
+      [ "c8e403fd48669238b438ea51c74c3f8c"; "b2dba5313f60cf16e69d46f24d17d36f"; "8200c427effaf833cd72900540252519" ] );
+    ( "matvec4",
+      [ "6bc1ce45e0e35eb9dfd8b1b85aefe531"; "d7d7c87570101bc66d478a18137a74da"; "117a0da3fec1f109a79ea275359eb89a" ] );
+    ( "matvec8",
+      [ "cc20c7d257a75a5d3a038196b9ac339f"; "65497bfb61ebf04dc98e6a7c2b37b632"; "aa3487c65c40742da098c835d905e836" ] );
+    ( "gemm4",
+      [ "ef32bd32dd61a3de2e5681952f59d89c"; "3a0858de2abcd060192184355ac9d9ab"; "6210314f41c4cff5c43d69c11bd5a347" ] );
+    ( "matmul",
+      [ "bd0109a35cad5f1e5e7464820114c9be"; "bd0109a35cad5f1e5e7464820114c9be"; "714d4a13e2d74e9f626c2dd0c413350f" ] );
+    ( "satacc",
+      [ "41ce9ad6bab76cfcf1934de451f247e1"; "1afb0ec7d44a85c0e035739df45ce2b1"; "41ce9ad6bab76cfcf1934de451f247e1" ] );
+    ( "stencil2d",
+      [ "8bd09adc4aef27511e46d3a2f7d993ed"; "8bd09adc4aef27511e46d3a2f7d993ed"; "8bd09adc4aef27511e46d3a2f7d993ed" ] );
+  ]
+
+let exact_run name ii =
+  let design = exact_source name in
+  let options = { Hls_flow.Flow.default_options with ii; verify = false } in
+  match Hls_flow.Flow.run ~options design with
+  | Error d -> Alcotest.failf "%s: flow failed: %s" name (Hls_diag.Diag.to_string d)
+  | Ok f ->
+      let sim stim = Hls_sim.Schedule_sim.run f.Hls_flow.Flow.f_elab f.Hls_flow.Flow.f_sched stim in
+      let ports = design.Ast.d_ins in
+      let flow_stim =
+        Hls_sim.Stimulus.small_random ~seed:options.seed ~n_iters:options.sim_iters ~ports
+      in
+      let wide_stim = Hls_sim.Stimulus.random ~seed:7 ~n_iters:37 ~ports in
+      let a = sim flow_stim and b = sim wide_stim in
+      let buf = Buffer.create 4096 in
+      exact_repr buf a;
+      exact_repr buf b;
+      ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+        a.Hls_sim.Schedule_sim.r_issued > a.Hls_sim.Schedule_sim.r_iters )
+
+let exact_case (name, digests) =
+  Alcotest.test_case ("schedule-sim exact: " ^ name) `Quick (fun () ->
+      List.iter2
+        (fun ii expected ->
+          let got, _ = exact_run name ii in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" name
+               (match ii with None -> "seq" | Some i -> Printf.sprintf "II=%d" i))
+            expected got)
+        [ None; Some 1; Some 2 ] digests)
+
+let test_exact_covers_squash () =
+  Alcotest.(check bool) "gemm4 II=1 issues more iterations than it commits" true
+    (snd (exact_run "gemm4" (Some 1)))
+
 let suite =
   [
     Alcotest.test_case "behav: accumulator" `Quick test_behav_basics;
@@ -152,4 +251,6 @@ let suite =
     equiv_case "idct8x8" (Hls_designs.Idct2d.design ()) None 32 19;
     Alcotest.test_case "throughput matches II" `Quick test_throughput_matches_ii;
     Alcotest.test_case "exec counts bounded" `Quick test_exec_counts_reflect_guards;
+    Alcotest.test_case "schedule-sim exact: squash covered" `Quick test_exact_covers_squash;
   ]
+  @ List.map exact_case exact_expected
