@@ -18,7 +18,10 @@ val log : t -> ('a, unit, string, unit) format4 -> 'a
 val log_at : t -> level -> ('a, unit, string, unit) format4 -> 'a
 
 val logf : ?level:level -> t option -> ('a, unit, string, unit) format4 -> 'a
-(** No-op on [None] — callers thread an optional trace for free.  Level
+(** No-op on [None] — callers thread an optional trace for free: the
+    format is not rendered and no ["%t"]/["%a"] argument is called.  The
+    caller's own argument expressions are still evaluated, so a call whose
+    arguments cost anything belongs under [if trace <> None].  Level
     defaults to [Info]. *)
 
 val level_to_string : level -> string

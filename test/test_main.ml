@@ -13,6 +13,7 @@ let () =
       ("elaborate", Test_elaborate.suite);
       ("binding", Test_binding.suite);
       ("scheduler", Test_scheduler.suite);
+      ("sched_exact", Test_sched_exact.suite);
       ("alloc", Test_alloc.suite);
       ("timing", Test_timing.suite);
       ("pipeline", Test_pipeline.suite);
