@@ -22,6 +22,18 @@ let clock = 1600.0
    correctness check (the numbers are then meaningless as measurements) *)
 let smoke = ref false
 
+(* Where an experiment writes its BENCH_<name>.json: the tracked file at the
+   repository root for a measurement run, [_build/smoke/] for a smoke run,
+   so a smoke run never leaves the host's timings in the tree. *)
+let bench_json name =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  if !smoke then begin
+    let dir = Filename.concat "_build" "smoke" in
+    List.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) [ "_build"; dir ];
+    Filename.concat dir file
+  end
+  else file
+
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
@@ -436,7 +448,7 @@ let bench_dse () =
   Printf.printf "speedup jobs=%d vs jobs=1: %.2fx (%d core(s) available)\n" requested_jobs speedup
     (Domain.recommended_domain_count ());
   Hls_dse.Dse.shutdown par_engine;
-  let oc = open_out "BENCH_dse.json" in
+  let oc = open_out (bench_json "dse") in
   Printf.fprintf oc
     {|{"design":"idct","points":%d,"requested_jobs":%d,"effective_jobs":%d,"cores":%d,"jobs_1":%s,"jobs_n":%s,"jobs_n_warm_pool":%s,"cached_resweep":%s,"points_per_s_jobs_1":%.3f,"points_per_s_jobs_n":%.3f,"overhead_per_point_s_jobs_1":%.6f,"overhead_per_point_s_jobs_n":%.6f,"overhead_per_point_s_warm_pool":%.6f,"speedup":%.3f}
 |}
@@ -448,7 +460,7 @@ let bench_dse () =
     s1.Hls_dse.Dse.s_points_per_s sn.Hls_dse.Dse.s_points_per_s (overhead_per_point s1)
     (overhead_per_point sn) (overhead_per_point sp) speedup;
   close_out oc;
-  print_endline "wrote BENCH_dse.json"
+  print_endline ("wrote " ^ bench_json "dse")
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler benchmark: warm-start relaxation throughput                *)
@@ -564,7 +576,7 @@ let bench_sched () =
     | None -> 0.0
   in
   let synth_speedup = speedup_of "synthetic-350" in
-  let oc = open_out "BENCH_sched.json" in
+  let oc = open_out (bench_json "sched") in
   Printf.fprintf oc
     {|{"reps":%d,"speedup_synthetic_350":%.3f,"speedup_synthetic_350_seq":%.3f,"designs":[%s]}
 |}
@@ -574,7 +586,7 @@ let bench_sched () =
   close_out oc;
   Printf.printf "synthetic-350 relaxation-loop speedup (warm vs legacy): %.2fx (target >= 1.5x)\n"
     synth_speedup;
-  print_endline "wrote BENCH_sched.json"
+  print_endline ("wrote " ^ bench_json "sched")
 
 (* ------------------------------------------------------------------ *)
 (* Worked examples 1-3 narratives                                       *)
@@ -812,7 +824,7 @@ let bench_netlist () =
       Printf.printf "micro trial/rollback: %d iters x %d seeds in %.3f s = %.0f transactions/s, %.0f queries/s\n"
         iters (List.length seeds) trial_s trial_per_s micro_queries_per_s;
       Printf.printf "oracle deviation vs reference evaluator: %.6f ps\n" deviation;
-      let oc = open_out "BENCH_netlist.json" in
+      let oc = open_out (bench_json "netlist") in
       Printf.fprintf oc
         {|{"design":"synthetic-350","ops":%d,"li":%d,"sched_s":%.6f,"queries":%d,"trials":%d,"commits":%d,"rollbacks":%d,"sched_queries_per_s":%.1f,"trial_rollback_iters":%d,"trial_rollback_s":%.6f,"trial_rollback_per_s":%.1f,"micro_queries_per_s":%.1f,"oracle_max_deviation_ps":%.6f}
 |}
@@ -821,7 +833,7 @@ let bench_netlist () =
         ns.Netlist.s_commits ns.Netlist.s_rollbacks sched_queries_per_s iters trial_s trial_per_s
         micro_queries_per_s deviation;
       close_out oc;
-      print_endline "wrote BENCH_netlist.json"
+      print_endline ("wrote " ^ bench_json "netlist")
 
 (* ------------------------------------------------------------------ *)
 (* Design-size scaling sweep: wall clock and query throughput vs op     *)
@@ -893,13 +905,13 @@ let bench_scale () =
     | _ -> 0.0
   in
   Printf.printf "scaling exponent (log wall / log ops): %.2f\n" exponent;
-  let oc = open_out "BENCH_scale.json" in
+  let oc = open_out (bench_json "scale") in
   Printf.fprintf oc {|{"design":"synthetic","clock_ps":%.0f,"scaling_exponent":%.3f,"points":[%s]}
 |}
     clock exponent
     (String.concat "," (List.map json_row rows));
   close_out oc;
-  print_endline "wrote BENCH_scale.json"
+  print_endline ("wrote " ^ bench_json "scale")
 
 (* ------------------------------------------------------------------ *)
 (* Loop-nest pipelining: unroll-based 1-D baseline vs the flattened     *)
@@ -983,11 +995,11 @@ let bench_nest () =
           hier_json flat_beats_unroll)
       workloads
   in
-  let oc = open_out "BENCH_nest.json" in
+  let oc = open_out (bench_json "nest") in
   Printf.fprintf oc {|{"clock_ps":%.0f,"workloads":[%s]}
 |} clock (String.concat "," rows);
   close_out oc;
-  print_endline "wrote BENCH_nest.json"
+  print_endline ("wrote " ^ bench_json "nest")
 
 (* ------------------------------------------------------------------ *)
 (* Compiled kernel simulation: interpreted vs compiled engine           *)
@@ -1095,13 +1107,13 @@ let bench_kernel () =
       report.Hls_sim.Equiv.fz_infeasible report.Hls_sim.Equiv.fz_checked_values
       (List.length report.Hls_sim.Equiv.fz_failures)
   in
-  let oc = open_out "BENCH_kernel.json" in
+  let oc = open_out (bench_json "kernel") in
   Printf.fprintf oc {|{"clock_ps":%.0f,"interp_cap":%d,"rows":[%s],"fuzz":%s}
 |} clock interp_cap
     (String.concat "," rows)
     fuzz_json;
   close_out oc;
-  print_endline "wrote BENCH_kernel.json"
+  print_endline ("wrote " ^ bench_json "kernel")
 
 (* ------------------------------------------------------------------ *)
 (* Feedback-guided iterative scheduling: scheduler passes and QoR with  *)
@@ -1163,11 +1175,11 @@ let bench_feedback () =
             Printf.sprintf {|{"design":"%s","ok":false,"code":"%s"}|} name d.Hls_diag.Diag.d_code)
       workloads
   in
-  let oc = open_out "BENCH_feedback.json" in
+  let oc = open_out (bench_json "feedback") in
   Printf.fprintf oc {|{"clock_ps":%.0f,"workloads":[%s]}
 |} clock (String.concat "," rows);
   close_out oc;
-  print_endline "wrote BENCH_feedback.json"
+  print_endline ("wrote " ^ bench_json "feedback")
 
 (* ------------------------------------------------------------------ *)
 

@@ -14,10 +14,18 @@
 
     SCC stage assignments (pipelining) and user anchors clamp the computed
     ranges.  An operation whose clamped range is empty marks the analysis
-    infeasible — the signal the relaxation engine uses to add states. *)
+    infeasible — the signal the relaxation engine uses to add states.
+
+    Both passes run over the dense arrays of an {!Hls_netlist.Op_table}:
+    the tagged scheduling predecessors and successors, their topological
+    order, each op's off-instance delay and latency.  The scheduler
+    prepares that table once per schedule call and reruns this analysis
+    (after add-state and SCC moves) at the cost of the two sweeps alone.
+    Anchors are read from the live op records. *)
 
 open Hls_ir
 open Hls_techlib
+module Op_table = Hls_netlist.Op_table
 
 type range = {
   asap : int;
@@ -26,210 +34,145 @@ type range = {
 }
 
 type t = {
-  ranges : (int, range) Hashtbl.t;
+  ranges : range array;  (** by op id; {!unanalyzed} for non-members *)
   infeasible : int list;  (** ops whose range is empty under current LI *)
 }
 
+let unanalyzed = { asap = -1; alap = -1; asap_arrival = 0.0 }
+
 let range t op_id =
-  match Hashtbl.find_opt t.ranges op_id with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Asap_alap.range: op %d not analyzed" op_id)
+  if op_id >= 0 && op_id < Array.length t.ranges && t.ranges.(op_id) != unanalyzed then
+    t.ranges.(op_id)
+  else invalid_arg (Printf.sprintf "Asap_alap.range: op %d not analyzed" op_id)
 
 let mobility t op_id =
   let r = range t op_id in
   r.alap - r.asap
-
-(** Nominal delay of an op under [lib], ignoring sharing muxes. *)
-let op_delay lib dfg (op : Dfg.op) =
-  match Resource.of_op dfg op with
-  | None -> 0.0 (* wire *)
-  | Some rt -> Library.delay lib rt
-
-(** Dependencies that constrain scheduling order: distance-0 data inputs
-    plus guard predicates, both restricted to region members. *)
-let sched_preds region (op : Dfg.op) =
-  let dfg = region.Region.dfg in
-  let data =
-    List.filter_map
-      (fun e ->
-        if e.Dfg.distance = 0 && Region.mem region e.Dfg.src then Some e.Dfg.src else None)
-      (Dfg.in_edges dfg op.Dfg.id)
-  in
-  let guards = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
-  List.sort_uniq compare (data @ guards)
-
-(** Reverse index of guard dependencies: predicate op -> guarded member
-    ops.  Building it once avoids a full member scan per query. *)
-let guard_dependents_index region =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (o : Dfg.op) ->
-      List.iter
-        (fun p ->
-          if Region.mem region p then begin
-            let r =
-              match Hashtbl.find_opt tbl p with
-              | Some r -> r
-              | None ->
-                  let r = ref [] in
-                  Hashtbl.replace tbl p r;
-                  r
-            in
-            r := o.Dfg.id :: !r
-          end)
-        (Guard.preds o.Dfg.guard))
-    (Region.member_ops region);
-  fun p -> match Hashtbl.find_opt tbl p with Some r -> !r | None -> []
-
-(** Consumers, tagged: [false] = data edge (the value chains through the
-    consumer's logic), [true] = guard edge (the value only gates the
-    consumer's commit enable).  [guard_deps] defaults to a fresh index —
-    pass {!guard_dependents_index} when querying many ops. *)
-let sched_succs_tagged ?guard_deps region (op : Dfg.op) =
-  let dfg = region.Region.dfg in
-  let data =
-    List.filter_map
-      (fun e ->
-        if e.Dfg.distance = 0 && Region.mem region e.Dfg.dst then Some (e.Dfg.dst, false)
-        else None)
-      (Dfg.out_edges dfg op.Dfg.id)
-  in
-  let index = match guard_deps with Some f -> f | None -> guard_dependents_index region in
-  let guarded = List.map (fun g -> (g, true)) (index op.Dfg.id) in
-  (* a consumer reachable through both a data and a guard edge counts as data *)
-  List.sort_uniq compare (data @ List.filter (fun (g, _) -> not (List.mem_assoc g data)) guarded)
-
-let sched_succs ?guard_deps region op = List.map fst (sched_succs_tagged ?guard_deps region op)
 
 (** Clamp a range with an anchor and an SCC stage window. *)
 let clamp_range ~anchor ~window (a, b) =
   let a, b = match anchor with Some s -> (max a s, min b s) | None -> (a, b) in
   match window with Some (lo, hi) -> (max a lo, min b hi) | None -> (a, b)
 
+(* [Stdlib.max]/[min] specialised to floats (same result: no NaN arises) *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
 (** [compute ~lib ~clock_ps ~scc_window region] analyzes all member ops.
     [scc_window op] returns the inclusive step window imposed by a pipeline
-    SCC stage assignment, if any. *)
-let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region : Region.t) : t =
-  let dfg = region.Region.dfg in
-  let members = Region.member_ops region in
-  let nodes = List.map (fun o -> o.Dfg.id) members in
-  let li = region.Region.n_steps in
-  let guard_deps = guard_dependents_index region in
-  let succs id = sched_succs ~guard_deps region (Dfg.find dfg id) in
+    SCC stage assignment, if any.  [table] defaults to a fresh one. *)
+let compute ?table ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region : Region.t) :
+    t =
+  let tbl = match table with Some tbl -> tbl | None -> Op_table.create ~lib region in
   let order =
-    match Graph_algo.topo_sort ~nodes ~succs with
+    match Op_table.topo tbl with
     | Some o -> o
     | None -> invalid_arg "Asap_alap.compute: combinational cycle among member ops"
   in
-  let latency op = Library.op_latency lib op.Dfg.kind in
+  let cap = Op_table.cap tbl in
+  let li = region.Region.n_steps in
+  let ff = lib.Library.ff_clk_q in
   let overhead = lib.Library.ff_setup in
-  (* ---- forward (ASAP) ---- *)
-  let fwd = Hashtbl.create (List.length nodes) in
-  (* op -> (step, finish_step, out_arrival, multi) *)
-  List.iter
+  (* ---- forward (ASAP): op -> step, finish step, out arrival, multi ---- *)
+  let f_step = Array.make cap 0 in
+  let f_fin = Array.make cap 0 in
+  let f_arr = Array.make cap ff in
+  let f_multi = Array.make cap false in
+  Array.iter
     (fun id ->
-      let op = Dfg.find dfg id in
-      let d = op_delay lib dfg op in
-      let lat = latency op in
-      let preds = sched_preds region op in
-      let guard_preds = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
-      let data_preds = List.filter (fun p -> not (List.mem p guard_preds)) preds in
-      let pred_info p =
-        match Hashtbl.find_opt fwd p with
-        | Some x -> x
-        | None -> (0, 0, lib.Library.ff_clk_q, false)
-      in
+      let d = Op_table.delay tbl id in
+      let lat = Op_table.latency tbl id in
+      let preds = Op_table.preds tbl id in
+      let is_guard = Op_table.pred_guard tbl id in
+      let n = Array.length preds in
       (* earliest step considering register crossings of multi-cycle preds *)
-      let min_step =
-        List.fold_left
-          (fun acc p ->
-            let _, fin, _, multi = pred_info p in
-            max acc (if multi then fin + 1 else fin))
-          0 preds
-      in
-      let arr_at step p =
-        let _, fin, arr, multi = pred_info p in
-        if (not multi) && fin = step then arr else lib.Library.ff_clk_q
-      in
+      let min_step = ref 0 in
+      for k = 0 to n - 1 do
+        let p = preds.(k) in
+        min_step := max !min_step (if f_multi.(p) then f_fin.(p) + 1 else f_fin.(p))
+      done;
+      let arr_at step p = if (not f_multi.(p)) && f_fin.(p) = step then f_arr.(p) else ff in
+      let has_data = Array.exists not is_guard in
       let rec settle step =
         let in_arr =
-          List.fold_left
-            (fun acc p -> max acc (arr_at step p))
-            (if data_preds = [] then
-               match op.Dfg.kind with
-               | Opkind.Const _ -> 0.0
-               | _ -> lib.Library.ff_clk_q
-             else 0.0)
-            data_preds
+          ref
+            (if has_data then 0.0
+             else match (Op_table.op tbl id).Dfg.kind with Opkind.Const _ -> 0.0 | _ -> ff)
         in
+        for k = 0 to n - 1 do
+          if not is_guard.(k) then in_arr := fmax !in_arr (arr_at step preds.(k))
+        done;
+        let in_arr = !in_arr in
         let out = in_arr +. d in
         (* the guard gates the commit enable in parallel with the datapath *)
-        let commit =
-          List.fold_left (fun acc p -> max acc (arr_at step p)) out guard_preds
-        in
+        let commit = ref out and guards_registered = ref true in
+        for k = 0 to n - 1 do
+          if is_guard.(k) then begin
+            let a = arr_at step preds.(k) in
+            commit := fmax !commit a;
+            if a > ff +. 0.001 then guards_registered := false
+          end
+        done;
         if lat > 1 then (step, out) (* multi-cycle: occupies whole steps *)
-        else if commit +. overhead <= clock_ps then (step, out)
-        else if in_arr <= lib.Library.ff_clk_q +. 0.001
-                && List.for_all (fun p -> arr_at step p <= lib.Library.ff_clk_q +. 0.001) guard_preds
-        then
+        else if !commit +. overhead <= clock_ps then (step, out)
+        else if in_arr <= ff +. 0.001 && !guards_registered then
           (* already starts from registers; the op alone does not fit — the
              binder will face the same wall, keep the optimistic estimate *)
           (step, out)
         else settle (step + 1)
       in
-      let step, out = settle min_step in
-      Hashtbl.replace fwd id (step, step + lat - 1, out, lat > 1))
+      let step, out = settle !min_step in
+      f_step.(id) <- step;
+      f_fin.(id) <- step + lat - 1;
+      f_arr.(id) <- out;
+      f_multi.(id) <- lat > 1)
     order;
-  (* ---- backward (ALAP) ---- *)
-  let bwd = Hashtbl.create (List.length nodes) in
-  (* op -> (alap_start_step, required_output_time) *)
-  List.iter
-    (fun id ->
-      let op = Dfg.find dfg id in
-      let d = op_delay lib dfg op in
-      let lat = latency op in
-      let cons = sched_succs_tagged ~guard_deps region op in
-      let alap_start, req =
-        if cons = [] then (li - 1, clock_ps -. overhead)
-        else
-          List.fold_left
-            (fun (acc_step, acc_req) (c, is_guard) ->
-              let c_op = Dfg.find dfg c in
-              let c_lat = latency c_op in
-              let c_start, c_req =
-                match Hashtbl.find_opt bwd c with
-                | Some x -> x
-                | None -> (li - 1, clock_ps -. overhead)
-              in
-              let cand_step, cand_req =
-                if c_lat > 1 || lat > 1 then (c_start - lat, clock_ps -. overhead)
-                else
-                  (* deadline for our output: a guard must settle by the
-                     consumer's commit time, data by the consumer's input
-                     time (its output deadline minus its delay) *)
-                  let budget = if is_guard then c_req else c_req -. op_delay lib dfg c_op in
-                  if budget -. d >= lib.Library.ff_clk_q then (c_start, budget)
-                  else (c_start - 1, clock_ps -. overhead)
-              in
-              (min acc_step cand_step, if cand_step < acc_step then cand_req else min acc_req cand_req))
-            (max_int, clock_ps -. overhead)
-            cons
-      in
-      Hashtbl.replace bwd id (alap_start, req))
-    (List.rev order);
+  (* ---- backward (ALAP): op -> alap start step, required output time ---- *)
+  let req_last = clock_ps -. overhead in
+  let b_step = Array.make cap (li - 1) in
+  let b_req = Array.make cap req_last in
+  for j = Array.length order - 1 downto 0 do
+    let id = order.(j) in
+    let d = Op_table.delay tbl id in
+    let lat = Op_table.latency tbl id in
+    let cons = Op_table.succs tbl id in
+    let via_guard = Op_table.succ_guard tbl id in
+    if Array.length cons = 0 then begin
+      b_step.(id) <- li - 1;
+      b_req.(id) <- req_last
+    end
+    else begin
+      let acc_step = ref max_int and acc_req = ref req_last in
+      Array.iteri
+        (fun k c ->
+          let c_start = b_step.(c) and c_req = b_req.(c) in
+          let cand_step, cand_req =
+            if Op_table.latency tbl c > 1 || lat > 1 then (c_start - lat, req_last)
+            else
+              (* deadline for our output: a guard must settle by the
+                 consumer's commit time, data by the consumer's input
+                 time (its output deadline minus its delay) *)
+              let budget = if via_guard.(k) then c_req else c_req -. Op_table.delay tbl c in
+              if budget -. d >= ff then (c_start, budget) else (c_start - 1, req_last)
+          in
+          acc_req := if cand_step < !acc_step then cand_req else fmin !acc_req cand_req;
+          acc_step := min !acc_step cand_step)
+        cons;
+      b_step.(id) <- !acc_step;
+      b_req.(id) <- !acc_req
+    end
+  done;
   (* ---- combine, clamp, detect infeasibility ---- *)
-  let ranges = Hashtbl.create (List.length nodes) in
+  let ranges = Array.make cap unanalyzed in
   let infeasible = ref [] in
-  List.iter
+  Array.iter
     (fun id ->
-      let op = Dfg.find dfg id in
-      let asap, _, arr, _ = Hashtbl.find fwd id in
-      let alap, _ = Hashtbl.find bwd id in
-      let alap = min alap (li - 1) in
+      let alap = min b_step.(id) (li - 1) in
       let asap', alap' =
-        clamp_range ~anchor:op.Dfg.anchor ~window:(scc_window id) (asap, alap)
+        clamp_range ~anchor:(Op_table.op tbl id).Dfg.anchor ~window:(scc_window id)
+          (f_step.(id), alap)
       in
       if asap' > alap' then infeasible := id :: !infeasible;
-      Hashtbl.replace ranges id { asap = asap'; alap = max asap' alap'; asap_arrival = arr })
+      ranges.(id) <- { asap = asap'; alap = max asap' alap'; asap_arrival = f_arr.(id) })
     order;
   { ranges; infeasible = List.rev !infeasible }

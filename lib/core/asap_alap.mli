@@ -4,7 +4,13 @@
     ops into a step while the accumulated delay fits the clock, the
     backward pass mirrors it from the latency bound.  Guards are
     scheduling dependencies (the enable must settle in the op's step); SCC
-    stage windows and user anchors clamp the ranges. *)
+    stage windows and user anchors clamp the ranges.
+
+    The sweeps read the static per-op facts — tagged scheduling
+    predecessors and successors, their topological order, delays and
+    latencies — from an {!Hls_netlist.Op_table}, which the scheduler
+    builds once per schedule call and passes to every rerun.  Anchors are
+    read from the live op records. *)
 
 open Hls_ir
 open Hls_techlib
@@ -16,7 +22,7 @@ type range = {
 }
 
 type t = {
-  ranges : (int, range) Hashtbl.t;
+  ranges : range array;  (** by op id; read through {!range} *)
   infeasible : int list;  (** ops whose clamped range is empty at this LI *)
 }
 
@@ -25,20 +31,15 @@ val range : t -> int -> range
 
 val mobility : t -> int -> int
 
-val op_delay : Library.t -> Dfg.t -> Dfg.op -> float
-(** Nominal mux-free delay of an op. *)
-
-val sched_preds : Region.t -> Dfg.op -> int list
-(** Ordering dependencies: distance-0 data inputs plus guard predicates,
-    restricted to region members. *)
-
-val guard_dependents_index : Region.t -> int -> int list
-(** Reverse guard-dependency index, built once per analysis. *)
-
-val sched_succs_tagged : ?guard_deps:(int -> int list) -> Region.t -> Dfg.op -> (int * bool) list
-(** Consumers tagged [true] when reached through a guard (enable) edge. *)
-
-val sched_succs : ?guard_deps:(int -> int list) -> Region.t -> Dfg.op -> int list
-
 val compute :
-  lib:Library.t -> clock_ps:float -> ?scc_window:(int -> (int * int) option) -> Region.t -> t
+  ?table:Hls_netlist.Op_table.t ->
+  lib:Library.t ->
+  clock_ps:float ->
+  ?scc_window:(int -> (int * int) option) ->
+  Region.t ->
+  t
+(** Analyze every member op at the region's current latency interval.
+    [table] must come from the same region and library; without one, a
+    fresh table is built.
+    @raise Invalid_argument when the scheduling dependencies close a
+    combinational cycle. *)

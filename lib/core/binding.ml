@@ -25,6 +25,7 @@
 open Hls_ir
 open Hls_techlib
 module Netlist = Hls_netlist.Netlist
+module Op_table = Hls_netlist.Op_table
 
 type inst = Netlist.inst = {
   inst_id : int;
@@ -54,15 +55,14 @@ type t = {
           have committed a negative-slack op, so the narrowed-seed fast
           path in [try_bind] — which relies on every committed op being
           slack-clean — is disabled for the rest of the pass history *)
-  class_ops_memo : (Resource.t, int) Hashtbl.t;
-      (** member-op count per resource need (the region membership is
-          static, so the counts never change) — keeps the expert's
-          per-restraint estimates from rescanning every member op *)
+  table : Op_table.t;
+      (** static per-op facts, shared with the netlist *)
 }
 
-let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
+let create ?(timing_aware = true) ?table ~lib ~clock_ps (region : Region.t) =
+  let net = Netlist.create ?table ~lib ~clock_ps region in
   {
-    net = Netlist.create ~lib ~clock_ps region;
+    net;
     region;
     lib;
     clock_ps;
@@ -71,8 +71,10 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
     dedicated = Hashtbl.create 4;
     timing_aware;
     has_forced = false;
-    class_ops_memo = Hashtbl.create 8;
+    table = Netlist.table net;
   }
+
+let need t (op : Dfg.op) = Op_table.need t.table op.Dfg.id
 
 (** The arrival view that gates this binder's decisions. *)
 let decision_view t = if t.timing_aware then Netlist.Accurate else Netlist.Naive
@@ -107,22 +109,18 @@ let modulo_ok t ~op_id ~step ~finish =
   let ok_in =
     List.for_all
       (fun e ->
-        e.Dfg.distance = 0
-        ||
         match Netlist.placement t.net e.Dfg.src with
         | Some pl -> step >= pl.pl_finish - (e.Dfg.distance * ii) + 1
         | None -> true)
-      (Dfg.in_edges t.dfg op_id)
+      (Op_table.carried_ins t.table op_id)
   in
   let ok_out =
     List.for_all
       (fun e ->
-        e.Dfg.distance = 0
-        ||
         match Netlist.placement t.net e.Dfg.dst with
         | Some pl -> pl.pl_step >= finish - (e.Dfg.distance * ii) + 1
         | None -> true)
-      (Dfg.out_edges t.dfg op_id)
+      (Op_table.carried_outs t.table op_id)
   in
   ok_in && ok_out
 
@@ -145,7 +143,7 @@ let quick_slack t (op : Dfg.op) ~step ~inst_id =
         let inputs = Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src in
         max acc (a +. Library.mux_delay t.lib ~inputs))
       t.lib.Library.ff_clk_q
-      (Dfg.in_edges t.dfg op.Dfg.id)
+      (Op_table.ins t.table op.Dfg.id)
   in
   let g = Netlist.guard_arrival t.net ~step ~view:Netlist.Accurate op in
   t.clock_ps -. (max (data +. d) g +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
@@ -170,7 +168,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     (match inst with
     | Some i ->
         if Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then raise (Fail Restraint.F_forbidden);
-        (match Resource.of_op t.dfg op with
+        (match need t op with
         | Some need when not (Resource.fits ~need ~have:i.rtype) ->
             if not (Resource.can_merge need i.rtype) then
               raise (Fail (Restraint.F_busy i.rtype))
@@ -180,7 +178,8 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
            nobody else *)
         if Hashtbl.mem t.dedicated op.Dfg.id && i.bound <> [] then
           raise (Fail (Restraint.F_busy i.rtype));
-        if List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound then
+        if Hashtbl.length t.dedicated > 0 && List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound
+        then
           raise (Fail (Restraint.F_busy i.rtype));
         (* busy check across occupied steps, honouring edge equivalence and
            predicate orthogonality *)
@@ -189,7 +188,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
           if
             List.exists
               (fun o ->
-                not (Guard.mutually_exclusive (Dfg.find t.dfg o).Dfg.guard op.Dfg.guard))
+                not (Guard.mutually_exclusive (Op_table.op t.table o).Dfg.guard op.Dfg.guard))
               others
           then raise (Fail (Restraint.F_busy i.rtype))
         done;
@@ -216,24 +215,23 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
       match inst with
       | None -> false
       | Some i -> (
-          match Resource.of_op t.dfg op with
+          match need t op with
           | Some need -> not (Resource.fits ~need ~have:i.rtype)
           | None -> false)
     in
     let changed_ports =
       match inst with
       | Some i when not widens ->
-          (* first-edge-per-port semantics, any distance — exactly the
-             sources the attach cache update inserts *)
+          (* one edge per port, any distance — exactly the sources the
+             attach cache update inserts *)
           List.filter_map
             (fun e ->
               if
-                Dfg.input t.dfg op.Dfg.id ~port:e.Dfg.port = Some e
-                && Netlist.mux_inputs_with net i ~port:e.Dfg.port ~src:e.Dfg.src
-                   <> Netlist.mux_inputs net i ~port:e.Dfg.port
+                Netlist.mux_inputs_with net i ~port:e.Dfg.port ~src:e.Dfg.src
+                <> Netlist.mux_inputs net i ~port:e.Dfg.port
               then Some e.Dfg.port
               else None)
-            (Dfg.in_edges t.dfg op.Dfg.id)
+            (Op_table.ins t.table op.Dfg.id)
           |> List.sort_uniq compare
       | _ -> []
     in
@@ -253,7 +251,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     Netlist.place net op.Dfg.id ~step ~finish ~inst_opt;
     (match inst with
     | Some i ->
-        (match Resource.of_op t.dfg op with
+        (match need t op with
         | Some need when not (Resource.fits ~need ~have:i.rtype) ->
             Netlist.set_rtype net i (Resource.merge need i.rtype)
         | _ -> ());
@@ -282,9 +280,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
           :: List.filter
                (fun o ->
                  o <> op.Dfg.id
-                 && List.exists
-                      (fun p -> Dfg.input t.dfg o ~port:p <> None)
-                      changed_ports)
+                 && List.exists (fun p -> Op_table.has_port t.table o ~port:p) changed_ports)
                i.bound
     in
     let worst_slack, worst_op = Netlist.propagate net ~decision:(decision_view t) seeds in
@@ -299,7 +295,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
              (match inst with
              | Some i -> i.rtype
              | None ->
-                 Option.value (Resource.of_op t.dfg op)
+                 Option.value (need t op)
                    ~default:{ Resource.rclass = Opkind.R_wire; in_widths = []; out_width = 1 }))
       else Error (Restraint.F_slack worst_slack)
     end
@@ -373,7 +369,7 @@ let force_bind t (op : Dfg.op) ~step ~inst_opt =
   (match inst_opt with
   | Some i ->
       let inst = Netlist.find_inst net i in
-      (match Resource.of_op t.dfg op with
+      (match need t op with
       | Some need when not (Resource.fits ~need ~have:inst.rtype) ->
           if Resource.can_merge need inst.rtype then
             Netlist.set_rtype net inst (Resource.merge need inst.rtype)
@@ -398,7 +394,7 @@ let recompute_all t = Netlist.recompute_all t.net
     instance may be widened to host the op.  Preferred order: exact-fit
     first, then least-loaded. *)
 let compatible_insts t (op : Dfg.op) =
-  match Resource.of_op t.dfg op with
+  match need t op with
   | None -> []
   | Some need ->
       (* decorate-sort-undecorate: [fits] and the load are evaluated once
@@ -427,25 +423,10 @@ let worst_slack t = Netlist.worst_slack t.net
     includes a 2-input sharing mux when the op's class will be shared. *)
 let estimate t (op : Dfg.op) ~step =
   let shared =
-    match Resource.of_op t.dfg op with
+    match need t op with
     | None -> false
     | Some need ->
-        let n_ops =
-          match Hashtbl.find_opt t.class_ops_memo need with
-          | Some n -> n
-          | None ->
-              let n =
-                List.length
-                  (List.filter
-                     (fun o ->
-                       match Resource.of_op t.dfg o with
-                       | Some rt -> Resource.can_merge rt need
-                       | None -> false)
-                     (Region.member_ops t.region))
-              in
-              Hashtbl.add t.class_ops_memo need n;
-              n
-        in
+        let n_ops = Op_table.class_ops t.table op.Dfg.id in
         let n_insts =
           List.length
             (List.filter (fun i -> Resource.can_merge i.rtype need) (Netlist.insts t.net))
@@ -458,7 +439,7 @@ let estimate t (op : Dfg.op) ~step =
       (fun acc e ->
         max acc (Netlist.source_arrival t.net ~step ~view:Netlist.Accurate e +. mux))
       (match op.Dfg.kind with Opkind.Const _ -> 0.0 | _ -> t.lib.Library.ff_clk_q)
-      (Dfg.in_edges t.dfg op.Dfg.id)
+      (Op_table.ins t.table op.Dfg.id)
   in
   let guard = Netlist.guard_arrival t.net ~step ~view:Netlist.Accurate op in
   let d = Netlist.exec_delay t.net op None in
@@ -486,7 +467,7 @@ let guard_dominated t (op : Dfg.op) ~step =
     port is charged one extra mux input regardless of source identity. *)
 let would_fit_existing t (op : Dfg.op) =
   let overhead = Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup in
-  match Resource.of_op t.dfg op with
+  match need t op with
   | None -> true
   | Some need ->
       List.exists

@@ -45,11 +45,19 @@ type t = {
       (** a {!force_bind} ran since the last {!reset_pass}: committed ops
           may carry negative slack, so the narrowed-seed fast path in
           {!try_bind} is disabled for the rest of the pass *)
-  class_ops_memo : (Resource.t, int) Hashtbl.t;
-      (** member-op count per resource need (static region membership) *)
+  table : Hls_netlist.Op_table.t;
+      (** the static per-op facts shared with the netlist (and, through
+          the scheduler, with ASAP/ALAP, the pass context and the expert) *)
 }
 
-val create : ?timing_aware:bool -> lib:Library.t -> clock_ps:float -> Region.t -> t
+val create :
+  ?timing_aware:bool -> ?table:Hls_netlist.Op_table.t -> lib:Library.t -> clock_ps:float ->
+  Region.t -> t
+(** [table] must come from the same region and library; one is built when
+    absent. *)
+
+val need : t -> Dfg.op -> Resource.t option
+(** The op's resource need, from the op table. *)
 
 val decision_view : t -> Netlist.view
 (** The arrival view gating this binder's decisions ([Accurate] unless the

@@ -25,6 +25,7 @@
 
 open Hls_ir
 open Hls_techlib
+module Op_table = Hls_netlist.Op_table
 
 type action =
   | Add_state
@@ -53,12 +54,12 @@ let action_to_string = function
   | Forbid (op, inst) -> Printf.sprintf "forbid(op %d, inst %d)" op inst
 
 (** Downstream cone (distance-0) of a set of ops, including the ops. *)
-let downstream dfg ops =
+let downstream table ops =
   let seen = Hashtbl.create 32 in
   let rec go id =
     if not (Hashtbl.mem seen id) then begin
       Hashtbl.replace seen id ();
-      List.iter (fun e -> if e.Dfg.distance = 0 then go e.Dfg.dst) (Dfg.out_edges dfg id)
+      Array.iter go (Op_table.out0 table id)
     end
   in
   List.iter go ops;
@@ -77,6 +78,7 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
     ~(restraints : Restraint.t list) ~(sccs : int list list) ~(scc_of : int -> int option)
     ~(scc_stage : int -> int) : (action * string) option =
   let dfg = region.Region.dfg in
+  let table = binding.Binding.table in
   let restraints = Restraint.weight_by_proximity dfg restraints in
   (* the decision is driven by the failures and their fan-in cones; plain
      deferral noise (a busy attempt that succeeded later elsewhere) would
@@ -100,7 +102,7 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
           | Restraint.F_busy _ | Restraint.F_window | Restraint.F_dep ->
               acc +. (scale *. r.Restraint.r_weight)
           | Restraint.F_slack _ ->
-              let op = Dfg.find dfg r.Restraint.r_op in
+              let op = Op_table.op table r.Restraint.r_op in
               if Binding.would_fit_existing binding op then acc +. (scale *. r.Restraint.r_weight)
               else acc
           | Restraint.F_cycle _ -> acc +. (0.5 *. scale *. r.Restraint.r_weight)
@@ -125,7 +127,7 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
     in
     List.iter
       (fun (r : Restraint.t) ->
-        let op = Dfg.find dfg r.Restraint.r_op in
+        let op = Op_table.op table r.Restraint.r_op in
         match r.Restraint.r_fail with
         | Restraint.F_busy rt | Restraint.F_no_resource rt ->
             (* only count restraints a fresh instance would actually solve *)
@@ -137,7 +139,7 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
               && Binding.would_fit binding op ~step:r.Restraint.r_step
                    ~speculated:op.Dfg.speculated
             then
-              Option.iter (fun rt -> credit rt r.Restraint.r_weight) (Resource.of_op dfg op)
+              Option.iter (fun rt -> credit rt r.Restraint.r_weight) (Binding.need binding op)
         | _ -> ())
       restraints;
     let area_unit =
@@ -166,7 +168,7 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
       (fun (r : Restraint.t) ->
         match r.Restraint.r_fail with
         | Restraint.F_slack _ | Restraint.F_window ->
-            let op = Dfg.find dfg r.Restraint.r_op in
+            let op = Op_table.op table r.Restraint.r_op in
             if
               (not op.Dfg.speculated)
               && (not (Guard.is_always op.Dfg.guard))
@@ -197,7 +199,7 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
       (fun k scc_ops ->
         let stage = scc_stage k in
         if stage + 1 <= n_stages - 1 then begin
-          let cone = if has_blocked then lazy (downstream dfg scc_ops) else lazy (Hashtbl.create 1) in
+          let cone = if has_blocked then lazy (downstream table scc_ops) else lazy (Hashtbl.create 1) in
           let gain =
             List.fold_left
               (fun acc (r : Restraint.t) ->

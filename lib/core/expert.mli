@@ -32,7 +32,7 @@ val default_options : options
 
 val action_to_string : action -> string
 
-val downstream : Dfg.t -> int list -> (int, unit) Hashtbl.t
+val downstream : Hls_netlist.Op_table.t -> int list -> (int, unit) Hashtbl.t
 (** Distance-0 downstream cone of a set of ops, inclusive. *)
 
 val choose :

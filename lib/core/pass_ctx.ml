@@ -4,64 +4,20 @@
     physical identity of the interval analysis they were computed from. *)
 
 open Hls_ir
-open Hls_techlib
+module Op_table = Hls_netlist.Op_table
 
 type t = {
-  ctx_members : Dfg.op list;
-  ctx_n_members : int;
-  ctx_preds : (int, int list) Hashtbl.t;
-  ctx_deps : (int, int list) Hashtbl.t;
+  ctx_table : Op_table.t;
   ctx_fanout : int -> int;
-  ctx_class_key : (int, (Opkind.rclass * int list) option) Hashtbl.t;
-  ctx_scores : (int, float) Hashtbl.t;
+  ctx_scores : float array;
   mutable ctx_scores_aa : Asap_alap.t option;
 }
 
-let class_key dfg op =
-  match Resource.of_op dfg op with
-  | Some rt ->
-      Some
-        ( rt.Resource.rclass,
-          List.map
-            (fun w -> if w <= 8 then 8 else if w <= 16 then 16 else if w <= 32 then 32 else 64)
-            rt.Resource.in_widths )
-  | None -> None
-
-let create (region : Region.t) =
-  let dfg = region.Region.dfg in
-  let members = Region.member_ops region in
-  let n = List.length members in
-  let preds = Hashtbl.create n in
-  let deps_acc = Hashtbl.create n in
-  List.iter
-    (fun o ->
-      let ps = Asap_alap.sched_preds region o in
-      Hashtbl.replace preds o.Dfg.id ps;
-      List.iter
-        (fun p ->
-          let r =
-            match Hashtbl.find_opt deps_acc p with
-            | Some r -> r
-            | None ->
-                let r = ref [] in
-                Hashtbl.replace deps_acc p r;
-                r
-          in
-          r := o.Dfg.id :: !r)
-        ps)
-    members;
-  let deps = Hashtbl.create (Hashtbl.length deps_acc) in
-  Hashtbl.iter (fun p r -> Hashtbl.replace deps p !r) deps_acc;
-  let class_keys = Hashtbl.create n in
-  List.iter (fun o -> Hashtbl.replace class_keys o.Dfg.id (class_key dfg o)) members;
+let create table =
   {
-    ctx_members = members;
-    ctx_n_members = n;
-    ctx_preds = preds;
-    ctx_deps = deps;
-    ctx_fanout = Priority.fanout_table dfg;
-    ctx_class_key = class_keys;
-    ctx_scores = Hashtbl.create n;
+    ctx_table = table;
+    ctx_fanout = Op_table.fanout table;
+    ctx_scores = Array.make (Op_table.cap table) 0.0;
     ctx_scores_aa = None;
   }
 
@@ -71,16 +27,14 @@ let refresh_scores ?(boosts = []) t ~weights ~aa =
   | _ ->
       List.iter
         (fun o ->
-          Hashtbl.replace t.ctx_scores o.Dfg.id
-            (Priority.score ~weights ~fanout:t.ctx_fanout aa o))
-        t.ctx_members;
+          t.ctx_scores.(o.Dfg.id) <- Priority.score ~weights ~fanout:t.ctx_fanout aa o)
+        (Op_table.members t.ctx_table);
       (* feedback priority boosts: additive deltas on top of the base
          score.  Constant for the lifetime of a schedule call, so the
          aa-identity memo above stays sound. *)
       List.iter
         (fun (id, delta) ->
-          match Hashtbl.find_opt t.ctx_scores id with
-          | Some s -> Hashtbl.replace t.ctx_scores id (s +. delta)
-          | None -> ())
+          if Op_table.is_member t.ctx_table id then
+            t.ctx_scores.(id) <- t.ctx_scores.(id) +. delta)
         boosts;
       t.ctx_scores_aa <- Some aa

@@ -1,40 +1,34 @@
-(** Pass-invariant scheduling context, computed once per region and reused
-    across every relaxation pass.
+(** Pass-invariant scheduling context, computed once per schedule call and
+    reused across every relaxation pass.
 
     A relaxation pass re-runs the whole SCHEDULE_PASS after each expert
     action (Fig. 7), but most of what the pass consults never changes
     between passes: the member list, the scheduling-predecessor and
-    dependent graphs, fanout-cone sizes, and resource class keys are pure
-    functions of the region's DFG.  Priority scores depend additionally on
-    the ASAP/ALAP intervals, which only move when the latency interval or
-    an SCC window moves (add-state / move-SCC actions) — so they are cached
-    too and refreshed only when the interval analysis itself is refreshed
-    ({!refresh_scores} keys on the physical identity of the [aa] value). *)
-
-open Hls_ir
+    dependent graphs, the fanout-cone sizes and the resource class keys
+    come from the call's {!Hls_netlist.Op_table}.
+    Priority scores depend additionally on the ASAP/ALAP intervals, which
+    only move when the latency interval or an SCC window moves (add-state
+    / move-SCC actions) — so they are cached too and refreshed only when
+    the interval analysis itself is refreshed ({!refresh_scores} keys on
+    the physical identity of the [aa] value). *)
 
 type t = {
-  ctx_members : Dfg.op list;
-  ctx_n_members : int;
-  ctx_preds : (int, int list) Hashtbl.t;
-      (** op -> distance-0 scheduling predecessors (data + guard) *)
-  ctx_deps : (int, int list) Hashtbl.t;  (** reverse of [ctx_preds] *)
-  ctx_fanout : int -> int;  (** fanout-cone size, precomputed per op *)
-  ctx_class_key : (int, (Opkind.rclass * int list) option) Hashtbl.t;
-      (** bucketed resource-class key for the busy-class memo *)
-  ctx_scores : (int, float) Hashtbl.t;  (** priority scores under the last aa *)
+  ctx_table : Hls_netlist.Op_table.t;
+      (** members, scheduling preds/succs, class keys *)
+  ctx_fanout : int -> int;  (** fanout-cone size, from the op table *)
+  ctx_scores : float array;  (** by op id: priority scores under the last aa *)
   mutable ctx_scores_aa : Asap_alap.t option;
       (** the aa value [ctx_scores] was computed from (physical identity) *)
 }
 
-val create : Region.t -> t
-(** Build every aa-independent table.  Scores are left empty until the
-    first {!refresh_scores}. *)
+val create : Hls_netlist.Op_table.t -> t
+(** Build every aa-independent table.  Scores stay unset until the first
+    {!refresh_scores}. *)
 
 val refresh_scores :
   ?boosts:(int * float) list -> t -> weights:Priority.weights -> aa:Asap_alap.t -> unit
-(** Recompute priority scores from [aa]; a no-op when [aa] is physically
-    the value the scores already reflect.  [boosts] are additive feedback
-    deltas layered on top of the base score — they must be constant across
-    every call that shares this context (they are per-schedule hints), or
-    the aa-identity memo would serve stale sums. *)
+(** Recompute the members' priority scores from [aa]; a no-op when [aa] is
+    physically the value the scores already reflect.  [boosts] are
+    additive feedback deltas layered on top of the base score — they must
+    be constant across every call that shares this context (they are
+    per-schedule hints), or the aa-identity memo would serve stale sums. *)

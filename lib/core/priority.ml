@@ -12,14 +12,6 @@ type weights = { w_mobility : float; w_complexity : float; w_fanout : float }
 
 let default_weights = { w_mobility = 100.0; w_complexity = 10.0; w_fanout = 0.5 }
 
-(** Precomputed fanout-cone sizes for all ops of a DFG.  Cones are stable
-    within a scheduling run, so the table is built once instead of running
-    a DFS per priority query. *)
-let fanout_table (dfg : Dfg.t) =
-  let tbl = Hashtbl.create (Dfg.size dfg) in
-  Dfg.iter_ops dfg (fun op -> Hashtbl.replace tbl op.Dfg.id (Dfg.fanout_cone_size dfg op.Dfg.id));
-  fun id -> Option.value (Hashtbl.find_opt tbl id) ~default:0
-
 (** Higher score = scheduled earlier.  Mobility 0 (a single feasible step)
     dominates; among equally mobile ops, structural complexity, then fanout
     cone size, break ties; op id is the final deterministic tie-break. *)

@@ -8,9 +8,6 @@ type weights = { w_mobility : float; w_complexity : float; w_fanout : float }
 
 val default_weights : weights
 
-val fanout_table : Dfg.t -> int -> int
-(** Precomputed fanout-cone sizes (one DFS per op, built once per pass). *)
-
 val score : ?weights:weights -> fanout:(int -> int) -> Asap_alap.t -> Dfg.op -> float
 (** Higher = scheduled earlier. *)
 

@@ -20,6 +20,7 @@
 
 open Hls_ir
 open Hls_techlib
+module Op_table = Hls_netlist.Op_table
 
 (* --- region-parallel analysis ---------------------------------------
    Independent SCC groups are analyzed on a shared domain pool.  The
@@ -221,7 +222,6 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     ?(scc_members = ([] : int list list)) ?warm ?(keep_prealloc = false) ~scc_stage_base
     ~scc_stage_local (region : Region.t) : pass_outcome * pass_event list =
   let n_sccs = List.length scc_members in
-  let dfg = region.Region.dfg in
   let li = region.Region.n_steps in
   let ii = Region.ii region in
   Binding.reset_pass ~keep_prealloc binding;
@@ -239,31 +239,31 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     log := Ev_restraint { ev_op = op; ev_step = step; ev_fail = fail; ev_fatal = fatal } :: !log
   in
   let failed = Hashtbl.create 8 in
-  let members = ctx.Pass_ctx.ctx_members in
-  let unplaced = Hashtbl.create ctx.Pass_ctx.ctx_n_members in
+  let tbl = ctx.Pass_ctx.ctx_table in
+  let n_members = Op_table.n_members tbl in
+  let members = Op_table.members tbl in
+  let unplaced = Hashtbl.create n_members in
   List.iter (fun o -> Hashtbl.replace unplaced o.Dfg.id o) members;
   (* --- incremental readiness ---
      [pending.(op)] counts unplaced scheduling predecessors; an op enters
      the ready pool when it reaches zero.  [min_step] tracks the earliest
      step allowed by the placed predecessors (finish step; +1 after a
      multi-cycle producer). *)
-  let preds_of = ctx.Pass_ctx.ctx_preds in
-  let deps_of = ctx.Pass_ctx.ctx_deps in
   let scores = ctx.Pass_ctx.ctx_scores in
-  let pending = Hashtbl.create ctx.Pass_ctx.ctx_n_members in
-  let min_step = Hashtbl.create ctx.Pass_ctx.ctx_n_members in
+  let pending = Hashtbl.create n_members in
+  let min_step = Hashtbl.create n_members in
   let ready = Hashtbl.create 64 in
   (* the heap mirrors [ready] under lazy deletion: [ready] stays the truth
      set, stale heap entries are discarded on pop *)
   let use_heap = opts.warm_start in
-  let heap = Ready_heap.create ~capacity:(max 16 ctx.Pass_ctx.ctx_n_members) () in
+  let heap = Ready_heap.create ~capacity:(max 16 n_members) () in
   let enter_ready id op =
     Hashtbl.replace ready id op;
-    if use_heap then Ready_heap.push heap ~score:(Hashtbl.find scores id) id
+    if use_heap then Ready_heap.push heap ~score:scores.(id) id
   in
   List.iter
     (fun o ->
-      let n = List.length (Hashtbl.find preds_of o.Dfg.id) in
+      let n = Array.length (Op_table.preds tbl o.Dfg.id) in
       Hashtbl.replace pending o.Dfg.id n;
       Hashtbl.replace min_step o.Dfg.id 0;
       if n = 0 then enter_ready o.Dfg.id o)
@@ -272,23 +272,18 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     Hashtbl.remove ready op_id;
     Hashtbl.remove unplaced op_id;
     let pl = Option.get (Binding.placement binding op_id) in
-    let p_op = Dfg.find dfg op_id in
     let avail =
-      if Library.op_latency binding.Binding.lib p_op.Dfg.kind > 1 then pl.Binding.pl_finish + 1
-      else pl.Binding.pl_finish
+      if Op_table.latency tbl op_id > 1 then pl.Binding.pl_finish + 1 else pl.Binding.pl_finish
     in
-    match Hashtbl.find_opt deps_of op_id with
-    | None -> ()
-    | Some deps ->
-        List.iter
-          (fun d ->
-            if Hashtbl.mem unplaced d then begin
-              Hashtbl.replace min_step d (max avail (Hashtbl.find min_step d));
-              let n = Hashtbl.find pending d - 1 in
-              Hashtbl.replace pending d n;
-              if n = 0 then enter_ready d (Dfg.find dfg d)
-            end)
-          deps
+    Array.iter
+      (fun d ->
+        if Hashtbl.mem unplaced d then begin
+          Hashtbl.replace min_step d (max avail (Hashtbl.find min_step d));
+          let n = Hashtbl.find pending d - 1 in
+          Hashtbl.replace pending d n;
+          if n = 0 then enter_ready d (Op_table.op tbl d)
+        end)
+      (Op_table.succs tbl op_id)
   in
   let drop_failed op_id =
     Hashtbl.replace failed op_id ();
@@ -361,10 +356,8 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   (* big-design fast path: when every instance of a resource class is busy
      (or mux-saturated) at a step, sibling unguarded ops of the same class
      defer immediately instead of re-probing each instance *)
-  let use_class_memo = ctx.Pass_ctx.ctx_n_members > 500 in
-  let class_key (op : Dfg.op) =
-    match Hashtbl.find_opt ctx.Pass_ctx.ctx_class_key op.Dfg.id with Some k -> k | None -> None
-  in
+  let use_class_memo = n_members > 500 in
+  let class_key (op : Dfg.op) = Op_table.class_key tbl op.Dfg.id in
   let log_bind op_id =
     let pl = Option.get (Binding.placement binding op_id) in
     let rt =
@@ -401,7 +394,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
       if Opkind.is_resource_op op.Dfg.kind then begin
         match Binding.compatible_insts binding op with
         | [] -> (
-            match Resource.of_op dfg op with
+            match Op_table.need tbl op.Dfg.id with
             | Some rt -> [ Restraint.F_no_resource rt ]
             | None -> [])
         | insts ->
@@ -429,7 +422,8 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     | [] ->
         on_placed op.Dfg.id;
         log_bind op.Dfg.id;
-        (if Opkind.is_resource_op op.Dfg.kind then
+        (* the arguments cost netlist queries: build them only when traced *)
+        (if trace <> None && Opkind.is_resource_op op.Dfg.kind then
            let pl = Option.get (Binding.placement binding op.Dfg.id) in
            Trace.logf ~level:Trace.Debug trace
              "    bound %s to %s at step %d: arrival %.0f ps, slack %.0f ps"
@@ -519,7 +513,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
               match ev with
               | Ev_bind { ev_op; ev_step; ev_finish; ev_inst; ev_rtype } ->
                   if Hashtbl.mem unplaced ev_op then begin
-                    Binding.replay_bind binding ~propagate:false (Dfg.find dfg ev_op)
+                    Binding.replay_bind binding ~propagate:false (Op_table.op tbl ev_op)
                       ~step:ev_step ~finish:ev_finish ~inst_opt:ev_inst ~rtype:ev_rtype;
                     replayed_bind := true;
                     log := ev :: !log;
@@ -584,7 +578,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
           Hashtbl.fold
             (fun id op acc ->
               if (not (Hashtbl.mem deferred id)) && ready_at op e then
-                let s = Hashtbl.find scores id in
+                let s = scores.(id) in
                 match acc with
                 | Some (bs, bop) when (bs, -bop.Dfg.id) >= (s, -id) -> acc
                 | _ -> Some (s, op)
@@ -633,12 +627,16 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
     (t, error) result =
   let t0 = Unix.gettimeofday () in
   let dfg = region.Region.dfg in
-  let binding = Binding.create ~timing_aware:opts.timing_aware ~lib ~clock_ps region in
+  (* the static per-op facts, built once for this call and shared by the
+     netlist, the binder, every ASAP/ALAP rerun, the pass context and the
+     expert (through the binder) *)
+  let table = Op_table.create ~lib region in
+  let binding = Binding.create ~timing_aware:opts.timing_aware ~table ~lib ~clock_ps region in
   List.iter (fun op -> Hashtbl.replace binding.Binding.dedicated op ()) opts.dedicated_ops;
   (* --- initial resource set, estimated at the latency upper bound --- *)
   let initial_li = region.Region.n_steps in
   Region.reset_steps region region.Region.max_steps;
-  let aa_alloc = Asap_alap.compute ~lib ~clock_ps region in
+  let aa_alloc = Asap_alap.compute ~table ~lib ~clock_ps region in
   let initial = Alloc.run ~lib ~clock_ps region aa_alloc in
   Region.reset_steps region initial_li;
   List.iter
@@ -647,9 +645,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
         ignore (Binding.add_inst binding rt)
       done)
     initial;
-  Trace.logf trace "initial resources: %s"
-    (String.concat ", "
-       (List.map (fun (rt, n, _) -> Printf.sprintf "%dx %s" n (Resource.to_string rt)) initial));
+  if trace <> None then
+    Trace.logf trace "initial resources: %s"
+      (String.concat ", "
+         (List.map (fun (rt, n, _) -> Printf.sprintf "%dx %s" n (Resource.to_string rt)) initial));
   (* seed the latency interval at the resource-implied lower bound, so the
      relaxation loop does not add those unavoidable states one at a time *)
   if opts.seed_latency_floor && not (Region.is_pipelined region) then begin
@@ -735,7 +734,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
           else None)
         (Dfg.out_edges dfg id)
     in
-    let weight id = Asap_alap.op_delay lib dfg (Dfg.find dfg id) in
+    let weight id = Op_table.delay table id in
     match Graph_algo.topo_sort ~nodes:scc ~succs with
     | None -> false (* an internal distance-0 cycle is caught elsewhere *)
     | Some _ ->
@@ -766,17 +765,16 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
      affect, enabling prefix replay.  With [warm_start = false] none of
      this is consulted: every pass rebuilds its tables and recomputes the
      interval analysis — the pre-optimization baseline. *)
-  let ctx0 = if opts.warm_start then Some (Pass_ctx.create region) else None in
+  let ctx0 = if opts.warm_start then Some (Pass_ctx.create table) else None in
   let aa_cache = ref None in
   let prev_log = ref None in
   let next_warm = ref None in
   let warm_passes = ref 0 in
   let cold_passes = ref 0 in
   let last_insts = ref (-1) in
-  (* escalation guard: when repeated add_state stops shrinking the set of
-     fatal restraints, force the expert toward a different action *)
+  (* length of the current run of add_state actions: drives the geometric
+     latency stepping below *)
   let consecutive_add_state = ref 0 in
-  let fatal_at_streak_start = ref max_int in
   (try
      if rec_infeasible <> [] then
        raise
@@ -829,12 +827,12 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
            match !aa_cache with
            | Some aa -> aa
            | None ->
-               let aa = Asap_alap.compute ~lib ~clock_ps ~scc_window region in
+               let aa = Asap_alap.compute ~table ~lib ~clock_ps ~scc_window region in
                aa_cache := Some aa;
                aa)
-         else Asap_alap.compute ~lib ~clock_ps ~scc_window region
+         else Asap_alap.compute ~table ~lib ~clock_ps ~scc_window region
        in
-       let ctx = match ctx0 with Some c -> c | None -> Pass_ctx.create region in
+       let ctx = match ctx0 with Some c -> c | None -> Pass_ctx.create table in
        Pass_ctx.refresh_scores ctx ~boosts ~weights:opts.priority_weights ~aa;
        let warm =
          match (!next_warm, !prev_log) with
@@ -881,18 +879,16 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                   })
        | Pass_failed restraints -> (
            Trace.logf trace "pass %d: failed with %d restraints" !passes (List.length restraints);
-           List.iter
-             (fun r -> Trace.logf ~level:Trace.Debug trace "    restraint: %s" (Restraint.to_string r))
-             restraints;
+           if trace <> None then
+             List.iter
+               (fun r ->
+                 Trace.logf ~level:Trace.Debug trace "    restraint: %s" (Restraint.to_string r))
+               restraints;
            let scc_stage k =
              match scc_stage_local.(k) with
              | Some s -> s
              | None -> Option.value scc_persist.(k) ~default:0
            in
-           let n_fatal =
-             List.length (List.filter (fun (r : Restraint.t) -> r.Restraint.r_fatal) restraints)
-           in
-           ignore n_fatal;
            (* stop proposing moves for an SCC that has been bounced around
               without converging *)
            let expert_opts =
@@ -956,7 +952,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                (match action with
                | Expert.Add_state -> incr consecutive_add_state
                | _ -> consecutive_add_state := 0);
-               ignore !fatal_at_streak_start;
                match action with
                | Expert.Add_state ->
                    (* geometric stepping: a long streak of add_state
@@ -985,7 +980,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                    for _ = 1 to n do
                      ignore (Binding.add_inst ~added_by_expert:true binding rt)
                    done
-               | Expert.Speculate op -> (Dfg.find dfg op).Dfg.speculated <- true
+               | Expert.Speculate op -> (Op_table.op table op).Dfg.speculated <- true
                | Expert.Move_scc k ->
                    scc_moves.(k) <- scc_moves.(k) + 1;
                    scc_persist.(k) <- Some (scc_stage k + 1)
@@ -1007,7 +1002,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                let aa_old = aa in
                let aa_new =
                  if !aa_dirty then begin
-                   let aa' = Asap_alap.compute ~lib ~clock_ps ~scc_window region in
+                   let aa' = Asap_alap.compute ~table ~lib ~clock_ps ~scc_window region in
                    aa_cache := Some aa';
                    aa'
                  end
@@ -1026,7 +1021,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                    (fun (o : Dfg.op) ->
                      let id = o.Dfg.id in
                      if Asap_alap.range aa_old id <> Asap_alap.range aa_new id then consider id)
-                   ctx.Pass_ctx.ctx_members;
+                   (Op_table.members table);
                  (* the pass pre-pins persist-less SCC stages from ASAP when
                     there are many SCCs; a stage estimate that moves dirties
                     the whole SCC even if individual ranges look stable *)

@@ -20,6 +20,13 @@
     the trial generation — stale trial stamps can never be read again
     because the next trial bumps the generation.
 
+    {b Static facts.}  What never changes during a schedule call — op
+    records, port-sorted in-edges, distance-0 consumers, guard predicates,
+    region membership, latency, off-instance delay, member resource needs —
+    is read from the {!Op_table} shared with the scheduler's other layers,
+    filled eagerly once per call.  Only the [speculated] flag flips during
+    scheduling; it is read from the live op record.
+
     {b Representation.}  Every hot table is a dense array indexed by op id
     (op ids are small and near-contiguous after elaboration): placements,
     both arrival-cell arrays, the per-step and per-guard reverse indexes,
@@ -128,9 +135,9 @@ type t = {
   mutable si_pos : int array;  (** op -> its position in its step bucket *)
   mutable gslots : bucket array;
       (** guard predecessor (op id) -> placed ops whose guard reads it *)
-  mutable gpreds_c : int array option array;  (** op -> guard preds (static) *)
   mutable gpos : int array option array;
-      (** op -> positions in each pred's bucket, parallel to [gpreds_c] *)
+      (** op -> positions in each pred's bucket, parallel to its guard
+          preds in the op table *)
   busy : (int, int list ref) Hashtbl.t;
       (** (inst lsl 21) lor slot -> bound ops; slots are control steps,
           far below 2^21 *)
@@ -144,24 +151,20 @@ type t = {
   mutable n_commits : int;
   mutable n_rollbacks : int;
   mutable n_visits : int;
-  (* static DFG caches (the graph and guards do not change during
-     scheduling; only the [speculated] flag flips, which is read from the
-     op record, not from these) *)
-  mutable op_c : Dfg.op option array;
-  mutable ins_c : Dfg.edge list option array;  (** in-edges, port-sorted *)
-  mutable out0_c : int array option array;  (** distance-0 consumer ids *)
-  mutable lat_c : int array;  (** op latency, -1 = not computed *)
-  mutable rmem_c : int array;  (** region membership: 0 unknown / 1 in / 2 out *)
-  mutable opdelay_c : float array;  (** exec delay off-instance, nan = unknown *)
-  member_needs : Resource.t list;  (** static: resource needs of the members *)
-  class_ops_memo : (Resource.t, int) Hashtbl.t;
-      (** rtype -> members mergeable into it (static per region) *)
+  tbl : Op_table.t;
+      (** static per-op facts (op records, in-edges, consumers, guard
+          preds, membership, latency, off-instance delay); the
+          [speculated] flag flips during scheduling and is read from the
+          op record, never from the table *)
   (* propagation worklist: ring buffer + membership stamps for dedup *)
   mutable wl : int array;
   mutable wl_head : int;
   mutable wl_tail : int;
   mutable in_wl : int array;
   mutable prop_gen : int;
+  (* visit stamps of {!chain_source_insts} *)
+  mutable cs_seen : int array;
+  mutable cs_gen : int;
 }
 
 (* field accessors for the abstract [t] (the record itself stays private
@@ -170,19 +173,17 @@ let region t = t.region
 let lib t = t.lib
 let clock_ps t = t.clock_ps
 let dfg t = t.dfg
+let table t = t.tbl
 
 let fresh_cell () =
   { a_committed = 0.0; a_live = false; a_trial = 0.0; a_gen = min_int; a_pass = 0 }
 
 let fresh_bucket () = { b_a = [||]; b_len = 0; b_gen = 0; b_sorted = []; b_dirty = false }
 
-let create ~lib ~clock_ps (region : Region.t) =
+let create ?table ~lib ~clock_ps (region : Region.t) =
   let dfg = region.Region.dfg in
-  let cap = 1 + Dfg.fold_ops dfg (fun op m -> max m op.Dfg.id) (-1) in
-  let cap = max cap 16 in
-  let member_needs =
-    List.filter_map (fun op -> Resource.of_op dfg op) (Region.member_ops region)
-  in
+  let tbl = match table with Some tbl -> tbl | None -> Op_table.create ~lib region in
+  let cap = max (Op_table.cap tbl) 16 in
   {
     region;
     lib;
@@ -203,7 +204,6 @@ let create ~lib ~clock_ps (region : Region.t) =
     steps = Array.init 64 (fun _ -> fresh_bucket ());
     si_pos = Array.make cap 0;
     gslots = Array.init cap (fun _ -> fresh_bucket ());
-    gpreds_c = Array.make cap None;
     gpos = Array.make cap None;
     busy = Hashtbl.create 64;
     chain = Hls_timing.Cycle_detector.create ();
@@ -216,19 +216,14 @@ let create ~lib ~clock_ps (region : Region.t) =
     n_commits = 0;
     n_rollbacks = 0;
     n_visits = 0;
-    op_c = Array.make cap None;
-    ins_c = Array.make cap None;
-    out0_c = Array.make cap None;
-    lat_c = Array.make cap (-1);
-    rmem_c = Array.make cap 0;
-    opdelay_c = Array.make cap nan;
-    member_needs;
-    class_ops_memo = Hashtbl.create 8;
+    tbl;
     wl = Array.make 256 0;
     wl_head = 0;
     wl_tail = 0;
     in_wl = Array.make cap 0;
     prop_gen = 0;
+    cs_seen = Array.make cap 0;
+    cs_gen = 0;
   }
 
 let grow_arr a cap d =
@@ -252,76 +247,21 @@ let ensure_cap t id =
     t.cell_naive <- grow_with t.cell_naive cap fresh_cell;
     t.si_pos <- grow_arr t.si_pos cap 0;
     t.gslots <- grow_with t.gslots cap fresh_bucket;
-    t.gpreds_c <- grow_arr t.gpreds_c cap None;
     t.gpos <- grow_arr t.gpos cap None;
-    t.op_c <- grow_arr t.op_c cap None;
-    t.ins_c <- grow_arr t.ins_c cap None;
-    t.out0_c <- grow_arr t.out0_c cap None;
-    t.lat_c <- grow_arr t.lat_c cap (-1);
-    t.rmem_c <- grow_arr t.rmem_c cap 0;
-    t.opdelay_c <- grow_arr t.opdelay_c cap nan;
     t.in_wl <- grow_arr t.in_wl cap 0;
+    t.cs_seen <- grow_arr t.cs_seen cap 0;
     t.cap <- cap
   end
 
-(* --- static DFG caches --- *)
+(* --- static per-op facts, served by the op table --- *)
 
-let op_of t id =
-  match t.op_c.(id) with
-  | Some op -> op
-  | None ->
-      let op = Dfg.find t.dfg id in
-      t.op_c.(id) <- Some op;
-      op
-
-let in_edges_of t id =
-  match t.ins_c.(id) with
-  | Some l -> l
-  | None ->
-      let l = Dfg.in_edges t.dfg id in
-      t.ins_c.(id) <- Some l;
-      l
-
-let out0_of t id =
-  match t.out0_c.(id) with
-  | Some a -> a
-  | None ->
-      let a =
-        Dfg.out_edges t.dfg id
-        |> List.filter_map (fun e -> if e.Dfg.distance = 0 then Some e.Dfg.dst else None)
-        |> Array.of_list
-      in
-      t.out0_c.(id) <- Some a;
-      a
-
-let gpreds_of t id =
-  match t.gpreds_c.(id) with
-  | Some a -> a
-  | None ->
-      let a = Array.of_list (Guard.preds (op_of t id).Dfg.guard) in
-      t.gpreds_c.(id) <- Some a;
-      a
-
-let region_mem t id =
-  if id >= t.cap then Region.mem t.region id
-  else
-    match t.rmem_c.(id) with
-    | 1 -> true
-    | 2 -> false
-    | _ ->
-        let m = Region.mem t.region id in
-        t.rmem_c.(id) <- (if m then 1 else 2);
-        m
-
-let op_latency t (op : Dfg.op) =
-  let id = op.Dfg.id in
-  if id < t.cap then begin
-    if t.lat_c.(id) < 0 then t.lat_c.(id) <- Library.op_latency t.lib op.Dfg.kind;
-    t.lat_c.(id)
-  end
-  else Library.op_latency t.lib op.Dfg.kind
-
-let lat_of t id = op_latency t (op_of t id)
+let op_of t id = Op_table.op t.tbl id
+let in_edges_of t id = Op_table.ins t.tbl id
+let out0_of t id = Op_table.out0 t.tbl id
+let gpreds_of t id = Op_table.gpreds t.tbl id
+let region_mem t id = Op_table.is_member t.tbl id
+let lat_of t id = Op_table.latency t.tbl id
+let op_latency t (op : Dfg.op) = lat_of t op.Dfg.id
 
 let is_multicycle t op = op_latency t op > 1
 
@@ -377,10 +317,10 @@ let reset_pass ?(keep_prealloc = false) t =
      will be shared, so its input muxes are pre-allocated (Fig. 8a).  The
      flags depend only on the region's membership and the instance set, so
      a caller that knows no instance was added since the last pass skips
-     the recompute with [keep_prealloc].  Both counts are memoized per
-     resource type — the member count permanently (membership is static),
-     the instance count for this call — so the recompute is
-     O(distinct types × (members + instances)), not O(instances²). *)
+     the recompute with [keep_prealloc].  The member count comes from the
+     op table's distinct member needs; the instance count is memoized per
+     resource type for this call, so the recompute is
+     O(distinct types × (distinct needs + instances)), not O(instances²). *)
   if not keep_prealloc then begin
     let all = insts t in
     let n_insts_memo = Hashtbl.create 8 in
@@ -392,16 +332,10 @@ let reset_pass ?(keep_prealloc = false) t =
           Hashtbl.add n_insts_memo rt n;
           n
     in
-    let ops_of_class rt =
-      match Hashtbl.find_opt t.class_ops_memo rt with
-      | Some n -> n
-      | None ->
-          let n = List.length (List.filter (fun m -> Resource.can_merge m rt) t.member_needs) in
-          Hashtbl.add t.class_ops_memo rt n;
-          n
-    in
     List.iter
-      (fun inst -> inst.prealloc_shared <- ops_of_class inst.rtype > insts_of_class inst.rtype)
+      (fun inst ->
+        inst.prealloc_shared <-
+          Op_table.mergeable_members t.tbl inst.rtype > insts_of_class inst.rtype)
       all
   end
 
@@ -459,7 +393,9 @@ let busy_ref t inst step =
       Hashtbl.replace t.busy key r;
       r
 
-let busy_ops t inst step = !(busy_ref t inst step)
+(* a query: an empty slot stays absent from the table *)
+let busy_ops t inst step =
+  match Hashtbl.find_opt t.busy (busy_key inst (slot t step)) with Some r -> !r | None -> []
 
 let dump_busy t =
   Hashtbl.fold
@@ -577,15 +513,16 @@ let guard_index_remove t op_id =
               let moved = b.b_a.(last) in
               b.b_a.(i) <- moved;
               (* fix the moved op's stored position for this predecessor *)
-              match (t.gpos.(moved), t.gpreds_c.(moved)) with
-              | Some mpos, Some mgp ->
+              match t.gpos.(moved) with
+              | Some mpos ->
+                  let mgp = gpreds_of t moved in
                   let n = Array.length mgp in
                   let rec fix k' =
                     if k' < n then
                       if mgp.(k') = p && mpos.(k') = last then mpos.(k') <- i else fix (k' + 1)
                   in
                   fix 0
-              | _ -> ()
+              | None -> ()
             end;
             b.b_len <- last)
           gp
@@ -715,15 +652,11 @@ let attach t i op_id =
         List.iter
           (fun (e : Dfg.edge) ->
             let p = e.Dfg.port in
-            if
-              p < Array.length c'
-              && (not (List.mem e.Dfg.src c'.(p)))
-              && Dfg.input t.dfg op_id ~port:p = Some e
-            then begin
+            if p < Array.length c' && not (List.mem e.Dfg.src c'.(p)) then begin
               c'.(p) <- sorted_insert e.Dfg.src c'.(p);
               changed.(p) <- true
             end)
-          (Dfg.in_edges t.dfg op_id);
+          (in_edges_of t op_id);
         i.mux_cache <- Some c';
         (match i.mux_delays with
         | None -> ()
@@ -767,7 +700,9 @@ let port_srcs t (inst : inst) ~port =
         let c =
           Array.init n_ports (fun p ->
               List.filter_map
-                (fun o -> Option.map (fun e -> e.Dfg.src) (Dfg.input t.dfg o ~port:p))
+                (fun o ->
+                  let s = Op_table.port_src t.tbl o ~port:p in
+                  if s >= 0 then Some s else None)
                 inst.bound
               |> List.sort_uniq compare)
         in
@@ -911,18 +846,7 @@ let guard_arrival t ~step ~view op =
 let exec_delay t (op : Dfg.op) inst_opt =
   match inst_opt with
   | Some i -> Library.delay t.lib (find_inst t i).rtype
-  | None ->
-      let id = op.Dfg.id in
-      if id < t.cap then begin
-        if Float.is_nan t.opdelay_c.(id) then
-          t.opdelay_c.(id) <-
-            (match Resource.of_op t.dfg op with
-            | None -> 0.0
-            | Some rt -> Library.delay t.lib rt);
-        t.opdelay_c.(id)
-      end
-      else
-        (match Resource.of_op t.dfg op with None -> 0.0 | Some rt -> Library.delay t.lib rt)
+  | None -> Op_table.delay t.tbl op.Dfg.id
 
 (** One full arrival evaluation of [op] placed at [step] on instance
     [inst] (-1 for none); [with_mux] selects the accurate (mux-laden)
@@ -1065,7 +989,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
       | Some d -> d
       | None -> in_mux_delay t inst ~port:p
     in
-    let reads_changed o = List.exists (fun p -> Dfg.input t.dfg o ~port:p <> None) changed_ports in
+    let reads_changed o = List.exists (fun p -> Op_table.has_port t.tbl o ~port:p) changed_ports in
     (* would [id]'s committed arrival move under the hypothetical bind?
        True when it reads a grown port on [inst] or when the change (or
        the new op's result) reaches it through a same-step chain; deep
@@ -1246,10 +1170,12 @@ let recompute_all t =
     check). *)
 let chain_source_insts t op_id ~step =
   let acc = ref [] in
-  let seen = Hashtbl.create 16 in
+  t.cs_gen <- t.cs_gen + 1;
+  let gen = t.cs_gen in
   let rec visit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.replace seen id ();
+    ensure_cap t id;
+    if t.cs_seen.(id) <> gen then begin
+      t.cs_seen.(id) <- gen;
       if placed t id && t.pl_finish.(id) = step && lat_of t id <= 1 then
         match t.pl_inst.(id) with
         | -1 ->

@@ -11,7 +11,15 @@
     array with a pass stamp, so {!reset_pass} is O(1), unplacing an op is
     O(1) swap-remove, and {!propagate} runs a worklist deduplicated by op
     id that stops at unchanged arrivals.  [t] is abstract so the dense
-    tables can evolve without touching callers. *)
+    tables can evolve without touching callers.
+
+    Static facts about each op — the op record, its in-edges by port, its
+    distance-0 consumers, guard predicates, region membership, latency and
+    off-instance delay — come from the {!Op_table} the netlist is created
+    with (the scheduler builds one per schedule call and shares it with
+    every layer).  Nothing static is cached lazily here.  The [speculated]
+    flag, which the relaxation loop flips mid-call, is read from the live
+    op record. *)
 
 open Hls_ir
 open Hls_techlib
@@ -48,7 +56,11 @@ type stats = {
 
 type t
 
-val create : lib:Library.t -> clock_ps:float -> Region.t -> t
+val create : ?table:Op_table.t -> lib:Library.t -> clock_ps:float -> Region.t -> t
+(** [table] must have been built from the same region and library; one is
+    built when absent. *)
+
+val table : t -> Op_table.t
 val stats : t -> stats
 
 (** {2 Accessors for the abstract state} *)

@@ -11,7 +11,8 @@
 #     nests — identical outputs and identical iteration / cycle / stall /
 #     squash counters under three stall duty patterns each.
 #  3. The `bench kernel` experiment in smoke mode, so the BENCH_kernel
-#     code path (engine timing + its own fuzz batch) stays alive.
+#     code path (engine timing + its own fuzz batch) stays alive; a smoke
+#     run writes _build/smoke/BENCH_kernel.json, not the tracked file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,7 +36,7 @@ run cosim examples/stencil2d.bhv --ii 8400x2 --iters 64
 
 # 3: the experiment code path (short lengths, reduced fuzz batch)
 dune exec --no-build bench/main.exe -- kernel --smoke >/dev/null
-grep -q '"fuzz"' BENCH_kernel.json || { echo "FAIL: BENCH_kernel.json has no fuzz record"; exit 1; }
-grep -q '"failures":0' BENCH_kernel.json || { echo "FAIL: bench fuzz batch recorded failures"; exit 1; }
+grep -q '"fuzz"' _build/smoke/BENCH_kernel.json || { echo "FAIL: _build/smoke/BENCH_kernel.json has no fuzz record"; exit 1; }
+grep -q '"failures":0' _build/smoke/BENCH_kernel.json || { echo "FAIL: bench fuzz batch recorded failures"; exit 1; }
 
 echo "kernel smoke OK: 200-case three-way fuzz clean, engines agree on all examples, bench path alive"

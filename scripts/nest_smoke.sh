@@ -7,7 +7,7 @@
 #     the 4096 unroll ceiling) with the typed unroll_overflow fault —
 #     the strict multi-D win the PR claims.
 #  3. The `bench nest` experiment runs in smoke mode and produces a
-#     BENCH_nest.json where multi-D wins on every workload.
+#     _build/smoke/BENCH_nest.json where multi-D wins on every workload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,7 +32,7 @@ echo "$err" | grep -q "unroll_overflow" || { echo "FAIL: expected unroll_overflo
 
 # 3: the bench experiment's verdict
 dune exec --no-build bench/main.exe -- nest --smoke >/dev/null
-grep -q '"multi_d_wins":false' BENCH_nest.json && { echo "FAIL: a workload lost to the 1-D baseline"; exit 1; }
-grep -q '"multi_d_wins":true' BENCH_nest.json || { echo "FAIL: no multi_d_wins entries in BENCH_nest.json"; exit 1; }
+grep -q '"multi_d_wins":false' _build/smoke/BENCH_nest.json && { echo "FAIL: a workload lost to the 1-D baseline"; exit 1; }
+grep -q '"multi_d_wins":true' _build/smoke/BENCH_nest.json || { echo "FAIL: no multi_d_wins entries in _build/smoke/BENCH_nest.json"; exit 1; }
 
 echo "nest smoke OK: both examples verified, 1-D baseline refused on stencil2d, multi-D wins recorded"

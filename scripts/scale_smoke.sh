@@ -4,6 +4,7 @@
 # point.  The guard is deliberately loose (CI machines are slow and
 # shared) — it exists to catch superlinear regressions that push the 1k
 # point from under a second into the tens of seconds, not to benchmark.
+# The smoke run writes _build/smoke/BENCH_scale.json, not the tracked file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +15,7 @@ dune exec bench/main.exe -- scale --smoke
 python3 - "$MAX_WALL_1K" <<'EOF' 2>/dev/null || awk_fallback=1
 import json, sys
 limit = float(sys.argv[1])
-with open("BENCH_scale.json") as f:
+with open("_build/smoke/BENCH_scale.json") as f:
     data = json.load(f)
 points = data["points"]
 assert len(points) >= 2, f"expected >= 2 smoke points, got {len(points)}"
@@ -28,7 +29,7 @@ EOF
 
 if [ "${awk_fallback:-0}" = "1" ]; then
   # no python3: pull the largest point's wall_s with sed/awk
-  wall=$(sed 's/},{/}\n{/g' BENCH_scale.json | grep -o '"ops":[0-9]*,"wall_s":[0-9.]*' |
+  wall=$(sed 's/},{/}\n{/g' _build/smoke/BENCH_scale.json | grep -o '"ops":[0-9]*,"wall_s":[0-9.]*' |
     sort -t: -k2 -n | tail -1 | grep -o 'wall_s":[0-9.]*' | cut -d: -f2)
   awk -v w="$wall" -v m="$MAX_WALL_1K" 'BEGIN {
     if (w == "" || w + 0 > m + 0) { print "scale smoke FAILED: wall " w "s > " m "s"; exit 1 }
