@@ -83,12 +83,10 @@ let add_inst ?added_by_expert t rtype = Netlist.add_inst ?added_by_expert t.net 
 let find_inst t id = Netlist.find_inst t.net id
 
 (** Reset all pass-local netlist state while keeping the resource set and
-    forbidden pairs — the state carried between scheduling passes.
-    [keep_prealloc] skips the [prealloc_shared] recompute (sound when no
-    instance was added since the previous pass). *)
-let reset_pass ?keep_prealloc t =
+    forbidden pairs — the state carried between scheduling passes. *)
+let reset_pass t =
   t.has_forced <- false;
-  Netlist.reset_pass ?keep_prealloc t.net
+  Netlist.reset_pass t.net
 
 let placement t op_id = Netlist.placement t.net op_id
 let is_placed t op_id = Netlist.is_placed t.net op_id

@@ -66,7 +66,7 @@ val decision_view : t -> Netlist.view
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 
-val reset_pass : ?keep_prealloc:bool -> t -> unit
+val reset_pass : t -> unit
 (** Clear pass-local netlist state (placements, busy, arrivals, chain
     graph) while keeping the resource set and forbidden pairs; recompute
     which instances pre-allocate sharing muxes. *)

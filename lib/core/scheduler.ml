@@ -219,12 +219,12 @@ type pass_event =
 let event_step = function Ev_bind e -> e.ev_step | Ev_restraint e -> e.ev_step
 
 let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap_alap.t) ~scc_of
-    ?(scc_members = ([] : int list list)) ?warm ?(keep_prealloc = false) ~scc_stage_base
+    ?(scc_members = ([] : int list list)) ?warm ~scc_stage_base
     ~scc_stage_local (region : Region.t) : pass_outcome * pass_event list =
   let n_sccs = List.length scc_members in
   let li = region.Region.n_steps in
   let ii = Region.ii region in
-  Binding.reset_pass ~keep_prealloc binding;
+  Binding.reset_pass binding;
   Array.iteri (fun k _ -> scc_stage_local.(k) <- scc_stage_base k) scc_stage_local;
   let restraints = ref [] in
   let log = ref [] in
@@ -771,7 +771,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   let next_warm = ref None in
   let warm_passes = ref 0 in
   let cold_passes = ref 0 in
-  let last_insts = ref (-1) in
   (* length of the current run of add_state actions: drives the geometric
      latency stepping below *)
   let consecutive_add_state = ref 0 in
@@ -841,16 +840,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
        in
        next_warm := None;
        (match warm with Some _ -> incr warm_passes | None -> incr cold_passes);
-       (* the prealloc-shared flags depend only on the (static) region
-          membership and the instance set, so they survive every pass that
-          added no instance *)
-       let insts_now = Hls_netlist.Netlist.n_insts binding.Binding.net in
-       let keep_prealloc = opts.warm_start && !last_insts = insts_now in
-       last_insts := insts_now;
        Trace.logf trace "pass %d: LI=%d, %d resources" !passes region.Region.n_steps
          (Hls_netlist.Netlist.n_insts binding.Binding.net);
        let outcome, pass_log =
-         run_pass ~opts ~trace ~ctx ~binding ~aa ~scc_of ~scc_members:sccs ?warm ~keep_prealloc
+         run_pass ~opts ~trace ~ctx ~binding ~aa ~scc_of ~scc_members:sccs ?warm
            ~scc_stage_base:(fun k -> scc_persist.(k))
            ~scc_stage_local region
        in

@@ -132,7 +132,6 @@ val run_pass :
   scc_of:(int -> int option) ->
   ?scc_members:int list list ->
   ?warm:pass_event list * int ->
-  ?keep_prealloc:bool ->
   scc_stage_base:(int -> int option) ->
   scc_stage_local:int option array ->
   Region.t ->
@@ -141,9 +140,8 @@ val run_pass :
     the region's pass-invariant context with scores already refreshed for
     [aa].  [warm] is [(previous pass's event log, first dirty step)]:
     events strictly before the dirty step are replayed structurally
-    instead of re-vetted.  [keep_prealloc] skips the per-pass
-    prealloc-shared recompute (sound when no instance was added since the
-    previous pass).  Returns the outcome and this pass's event log. *)
+    instead of re-vetted.  Returns the outcome and this pass's event
+    log. *)
 
 val schedule :
   ?opts:options ->

@@ -120,6 +120,9 @@ type t = {
   mutable insts_memo : inst list option;  (** registration order *)
   inst_tbl : (int, inst) Hashtbl.t;  (** id -> instance, O(1) lookup *)
   mutable next_inst_id : int;
+  mutable rtype_epoch : int;  (** bumped by every instance type change *)
+  mutable prealloc_key : int * int;
+      (** (instances, type epoch) the [prealloc_shared] flags reflect *)
   mutable cap : int;  (** dense-array capacity: > every op id seen *)
   mutable pass_stamp : int;
       (** bumped by {!reset_pass}: per-op entries are live only when their
@@ -193,6 +196,8 @@ let create ?table ~lib ~clock_ps (region : Region.t) =
     insts_memo = Some [];
     inst_tbl = Hashtbl.create 16;
     next_inst_id = 0;
+    rtype_epoch = 0;
+    prealloc_key = (-1, -1);
     cap;
     pass_stamp = 1;
     pl_gen = Array.make cap 0;
@@ -300,7 +305,7 @@ let find_inst t id = Hashtbl.find t.inst_tbl id
     graph, any dangling trial) while keeping the resource set — the state
     carried between scheduling passes.  O(1) on the dense per-op tables:
     bumping [pass_stamp] makes every stale entry read as absent. *)
-let reset_pass ?(keep_prealloc = false) t =
+let reset_pass t =
   t.pass_stamp <- t.pass_stamp + 1;
   Hashtbl.reset t.busy;
   List.iter
@@ -315,13 +320,16 @@ let reset_pass ?(keep_prealloc = false) t =
   t.undo_log <- [];
   (* mark shared instances: a class with more candidate ops than instances
      will be shared, so its input muxes are pre-allocated (Fig. 8a).  The
-     flags depend only on the region's membership and the instance set, so
-     a caller that knows no instance was added since the last pass skips
-     the recompute with [keep_prealloc].  The member count comes from the
-     op table's distinct member needs; the instance count is memoized per
+     flags depend on the region's (static) membership, the instance set
+     and the instances' types, which width merges widen during a pass; so
+     they are recomputed only when an instance was added or a type changed
+     since the last computation.  The member count comes from the op
+     table's distinct member needs; the instance count is memoized per
      resource type for this call, so the recompute is
      O(distinct types × (distinct needs + instances)), not O(instances²). *)
-  if not keep_prealloc then begin
+  let key = (t.next_inst_id, t.rtype_epoch) in
+  if key <> t.prealloc_key then begin
+    t.prealloc_key <- key;
     let all = insts t in
     let n_insts_memo = Hashtbl.create 8 in
     let insts_of_class rt =
@@ -676,6 +684,7 @@ let attach t i op_id =
 let set_rtype t i rt =
   if rt <> i.rtype then begin
     if t.trial_on then t.undo_log <- U_rtype (i, i.rtype) :: t.undo_log;
+    t.rtype_epoch <- t.rtype_epoch + 1;
     i.rtype <- rt;
     invalidate_mux t i
   end

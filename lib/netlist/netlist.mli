@@ -81,13 +81,12 @@ val n_insts : t -> int
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 
-val reset_pass : ?keep_prealloc:bool -> t -> unit
+val reset_pass : t -> unit
 (** Reset all pass-local state (placements, busy tables, arrivals, chain
     graph, any dangling trial) while keeping the resource set; recomputes
-    each instance's [prealloc_shared] flag.  O(1) on the dense per-op
-    tables (a pass-stamp bump).  [~keep_prealloc:true] skips the flag
-    recompute — sound only when no instance was added since the flags
-    were last computed (region membership is static). *)
+    each instance's [prealloc_shared] flag when an instance was added or
+    an instance type changed since the flags were last computed.  O(1) on
+    the dense per-op tables (a pass-stamp bump). *)
 
 (** {2 Placements} *)
 

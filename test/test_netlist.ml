@@ -295,8 +295,39 @@ let test_inst_registration_linear () =
     (Printf.sprintf "registration of 5k instances took %.3fs (< 1s)" dt)
     true (dt < 1.0)
 
+(* The prealloc-shared flag of an instance depends on its type: after a
+   width merge widens an instance, the next [reset_pass] must recompute it
+   even though no instance was added.  Two 8-bit adders and one 16-bit
+   adder share two 8x8 instances (3 mergeable ops > 2 instances: shared);
+   widened to 32x32, an instance merges only the 16-bit adder and is alone
+   in its class (1 > 1 fails: not shared). *)
+let test_prealloc_follows_width_merge () =
+  let dfg = Dfg.create () in
+  let add w =
+    let a = Dfg.add_op dfg (Opkind.Read (Printf.sprintf "a%d" (Dfg.size dfg))) ~width:w in
+    let b = Dfg.add_op dfg (Opkind.Read (Printf.sprintf "b%d" (Dfg.size dfg))) ~width:w in
+    let s = Dfg.add_op dfg (Opkind.Bin Opkind.Add) ~width:w in
+    Dfg.connect dfg ~src:a.Dfg.id ~dst:s.Dfg.id ~port:0;
+    Dfg.connect dfg ~src:b.Dfg.id ~dst:s.Dfg.id ~port:1
+  in
+  add 8;
+  add 8;
+  add 16;
+  let region = Region.create ~min_steps:2 ~max_steps:2 ~name:"merge" dfg in
+  let net = Netlist.create ~lib ~clock_ps:1600.0 region in
+  let rt w = { Resource.rclass = Opkind.R_addsub; in_widths = [ w; w ]; out_width = w } in
+  let i = Netlist.add_inst net (rt 8) in
+  ignore (Netlist.add_inst net (rt 8));
+  Netlist.reset_pass net;
+  Alcotest.(check bool) "8x8 instance is shared" true i.Netlist.prealloc_shared;
+  Netlist.set_rtype net i (rt 32);
+  Netlist.reset_pass net;
+  Alcotest.(check bool) "widened instance is no longer shared" false i.Netlist.prealloc_shared
+
 let suite =
   [
+    Alcotest.test_case "prealloc flags follow a width merge" `Quick
+      test_prealloc_follows_width_merge;
     Alcotest.test_case "rollback restores all observables" `Quick test_rollback_restores;
     Alcotest.test_case "no-op trial commit is idempotent" `Quick test_commit_idempotent_and_reference;
     Alcotest.test_case "nested trials rejected" `Quick test_nested_trial_rejected;

@@ -111,38 +111,55 @@ let observables (s : Scheduler.t) =
   in
   (s.Scheduler.s_li, s.Scheduler.s_passes, s.Scheduler.s_actions, placements, insts)
 
+(* [None] when the warm-started and cold schedules of the seed's synthetic
+   design agree on every observable, the difference otherwise *)
+let warm_cold_mismatch seed =
+  let profile =
+    {
+      Hls_designs.Synthetic.default_profile with
+      Hls_designs.Synthetic.p_ops = 20 + (seed mod 50);
+      p_seed = seed;
+      p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
+      p_accumulators = 1 + (seed mod 2);
+    }
+  in
+  let d = Hls_designs.Synthetic.design ~profile () in
+  (* a third of the cases pipeline, so SCC moves / speculation — the
+     actions that actually exercise prefix replay — occur *)
+  let ii = if seed mod 3 = 0 then Some (1 + (seed mod 3)) else None in
+  let run warm_start =
+    schedule_design ~opts:{ Scheduler.default_options with warm_start } ?ii d |> snd
+  in
+  match (run true, run false) with
+  | Ok w, Ok c ->
+      if observables w = observables c then None
+      else Some (Printf.sprintf "warm and cold schedules diverge (seed %d)" seed)
+  | Error w, Error c ->
+      if w.Scheduler.e_code = c.Scheduler.e_code then None
+      else
+        Some
+          (Printf.sprintf "warm error %s vs cold error %s (seed %d)" w.Scheduler.e_code
+             c.Scheduler.e_code seed)
+  | Ok _, Error e | Error e, Ok _ ->
+      Some
+        (Printf.sprintf "warm/cold disagree on feasibility: %s (seed %d)" e.Scheduler.e_code seed)
+
 let prop_warm_equals_cold =
   QCheck.Test.make ~name:"warm-started schedule == cold schedule (all observables)" ~count:220
     QCheck.(int_range 1 100_000)
     (fun seed ->
-      let profile =
-        {
-          Hls_designs.Synthetic.default_profile with
-          Hls_designs.Synthetic.p_ops = 20 + (seed mod 50);
-          p_seed = seed;
-          p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
-          p_accumulators = 1 + (seed mod 2);
-        }
-      in
-      let d = Hls_designs.Synthetic.design ~profile () in
-      (* a third of the cases pipeline, so SCC moves / speculation — the
-         actions that actually exercise prefix replay — occur *)
-      let ii = if seed mod 3 = 0 then Some (1 + (seed mod 3)) else None in
-      let run warm_start =
-        schedule_design ~opts:{ Scheduler.default_options with warm_start } ?ii d |> snd
-      in
-      match (run true, run false) with
-      | Ok w, Ok c ->
-          if observables w = observables c then true
-          else QCheck.Test.fail_reportf "warm and cold schedules diverge (seed %d)" seed
-      | Error w, Error c ->
-          if w.Scheduler.e_code = c.Scheduler.e_code then true
-          else
-            QCheck.Test.fail_reportf "warm error %s vs cold error %s (seed %d)" w.Scheduler.e_code
-              c.Scheduler.e_code seed
-      | Ok _, Error e | Error e, Ok _ ->
-          QCheck.Test.fail_reportf "warm/cold disagree on feasibility: %s (seed %d)"
-            e.Scheduler.e_code seed)
+      match warm_cold_mismatch seed with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "%s" msg)
+
+(* Seed 51819 widens an adder's type by a width merge in one pass and
+   adds no instance before the next: the instances' prealloc-shared flags
+   must still be recomputed, or the warm schedule binds three adders
+   differently from the cold one. *)
+let test_warm_cold_after_width_merge () =
+  match warm_cold_mismatch 51819 with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
 
 (** Warm passes are counted — and on a design whose relaxation uses only
     global actions, every pass is cold. *)
@@ -211,6 +228,8 @@ let suite =
     Alcotest.test_case "heap interleaved push/pop" `Quick test_heap_interleaved;
     Alcotest.test_case "ops_on_step matches placements fold" `Quick test_ops_on_step_contract;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    Alcotest.test_case "warm == cold after a width merge (seed 51819)" `Quick
+      test_warm_cold_after_width_merge;
     Alcotest.test_case "warm/cold pass counters" `Quick test_pass_counters;
     QCheck_alcotest.to_alcotest prop_jobs_deterministic;
   ]
