@@ -344,8 +344,12 @@ let wait_in_flight socket n =
   in
   go ()
 
+(* a job that stays in flight while the test submits behind it: the 2-D
+   IDCT's verified flow runs for about a tenth of a second, ten times the
+   1-D one, so the poll in [wait_in_flight] and the follow-up submits
+   cannot outlast it *)
 let long_spec ?(clock = 1600.0) () =
-  P.job_spec ~verify:true ~clock_ps:clock P.C_flow (`Builtin "idct")
+  P.job_spec ~verify:true ~clock_ps:clock P.C_flow (`Builtin "idct8x8")
 
 let test_queue_full () =
   with_server ~workers:1 ~queue_capacity:1 @@ fun socket ->
