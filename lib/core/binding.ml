@@ -165,7 +165,8 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     let inst = Option.map (Netlist.find_inst net) inst_opt in
     (match inst with
     | Some i ->
-        if Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then raise (Fail Restraint.F_forbidden);
+        if Hashtbl.length t.forbidden > 0 && Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then
+          raise (Fail Restraint.F_forbidden);
         (match need t op with
         | Some need when not (Resource.fits ~need ~have:i.rtype) ->
             if not (Resource.can_merge need i.rtype) then
@@ -404,7 +405,8 @@ let compatible_insts t (op : Dfg.op) =
              if fits || Resource.can_merge need i.rtype then
                Some (((if fits then 0 else 1), List.length i.bound), i)
              else None)
-      |> List.stable_sort (fun (ka, _) (kb, _) -> compare ka kb)
+      |> List.stable_sort (fun ((fa, la), _) ((fb, lb), _) ->
+             if fa <> fb then Int.compare fa fb else Int.compare la lb)
       |> List.map snd
 
 (** Worst accurate endpoint slack over all placed ops. *)

@@ -250,8 +250,8 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
      step allowed by the placed predecessors (finish step; +1 after a
      multi-cycle producer). *)
   let scores = ctx.Pass_ctx.ctx_scores in
-  let pending = Hashtbl.create n_members in
-  let min_step = Hashtbl.create n_members in
+  let pending = Array.make (Op_table.cap tbl) 0 in
+  let min_step = Array.make (Op_table.cap tbl) 0 in
   let ready = Hashtbl.create 64 in
   (* the heap mirrors [ready] under lazy deletion: [ready] stays the truth
      set, stale heap entries are discarded on pop *)
@@ -264,8 +264,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   List.iter
     (fun o ->
       let n = Array.length (Op_table.preds tbl o.Dfg.id) in
-      Hashtbl.replace pending o.Dfg.id n;
-      Hashtbl.replace min_step o.Dfg.id 0;
+      pending.(o.Dfg.id) <- n;
       if n = 0 then enter_ready o.Dfg.id o)
     members;
   let on_placed op_id =
@@ -278,9 +277,9 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     Array.iter
       (fun d ->
         if Hashtbl.mem unplaced d then begin
-          Hashtbl.replace min_step d (max avail (Hashtbl.find min_step d));
-          let n = Hashtbl.find pending d - 1 in
-          Hashtbl.replace pending d n;
+          min_step.(d) <- max avail min_step.(d);
+          let n = pending.(d) - 1 in
+          pending.(d) <- n;
           if n = 0 then enter_ready d (Op_table.op tbl d)
         end)
       (Op_table.succs tbl op_id)
@@ -338,7 +337,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
        violation *)
     (r.Asap_alap.asap <= step
     || (opts.tolerate_scc_slack && window_of op.Dfg.id <> None))
-    && Hashtbl.find min_step op.Dfg.id <= step
+    && min_step.(op.Dfg.id) <= step
     && (match window_of op.Dfg.id with
        | Some (lo, hi) -> lo <= step && step <= hi
        | None -> true)
@@ -481,9 +480,10 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
         in
         add_logged_restraint ~op:op.Dfg.id ~step:e ~fail:best_fail ~fatal;
         if fatal then begin
-          Trace.logf ~level:Trace.Warn trace "    op %d (%s) FAILED at step %d: %s" op.Dfg.id
-            op.Dfg.name e
-            (Restraint.fail_to_string best_fail);
+          if trace <> None then
+            Trace.logf ~level:Trace.Warn trace "    op %d (%s) FAILED at step %d: %s" op.Dfg.id
+              op.Dfg.name e
+              (Restraint.fail_to_string best_fail);
           drop_failed op.Dfg.id
         end
         else Hashtbl.replace deferred op.Dfg.id ();
