@@ -19,8 +19,6 @@ open Hls_techlib
 type class_key = Opkind.rclass * int list
 
 type t = {
-  dfg : Dfg.t;
-  lib : Library.t;
   cap : int;  (** one past the largest op id *)
   ops : Dfg.op array;  (** the op records; ids absent from the DFG hold {!hole} *)
   member : bool array;
@@ -73,55 +71,6 @@ let sorted_ids l = Array.of_list (List.sort_uniq Int.compare l)
 let mergeable needs rt =
   List.fold_left (fun acc (m, n) -> if Resource.can_merge m rt then acc + n else acc) 0 needs
 
-(* Kahn's algorithm over the members, taking the smallest ready id first
-   (the order {!Hls_ir.Graph_algo.topo_sort} gives), on a binary min-heap
-   of ids *)
-let topo_order ~cap members succs =
-  let n = List.length members in
-  let indeg = Array.make cap 0 in
-  List.iter (fun (o : Dfg.op) -> Array.iter (fun s -> indeg.(s) <- indeg.(s) + 1) succs.(o.Dfg.id)) members;
-  let heap = Array.make (max 1 n) 0 and size = ref 0 in
-  let push x =
-    let i = ref !size in
-    incr size;
-    while !i > 0 && heap.((!i - 1) / 2) > x do
-      heap.(!i) <- heap.((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done;
-    heap.(!i) <- x
-  in
-  let pop () =
-    let top = heap.(0) in
-    decr size;
-    let x = heap.(!size) and i = ref 0 and sifting = ref (!size > 0) in
-    while !sifting do
-      let l = (2 * !i) + 1 in
-      if l >= !size then sifting := false
-      else
-        let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
-        if heap.(c) < x then begin
-          heap.(!i) <- heap.(c);
-          i := c
-        end
-        else sifting := false
-    done;
-    if !size > 0 then heap.(!i) <- x;
-    top
-  in
-  List.iter (fun (o : Dfg.op) -> if indeg.(o.Dfg.id) = 0 then push o.Dfg.id) members;
-  let order = Array.make n 0 and k = ref 0 in
-  while !size > 0 do
-    let id = pop () in
-    order.(!k) <- id;
-    incr k;
-    Array.iter
-      (fun s ->
-        indeg.(s) <- indeg.(s) - 1;
-        if indeg.(s) = 0 then push s)
-      succs.(id)
-  done;
-  if !k = n then Some order else None
-
 (* fanout-cone size of each member: distinct ops reachable over distance-0
    edges (the op itself only through a cycle), as
    {!Hls_ir.Dfg.fanout_cone_size} counts them *)
@@ -159,16 +108,7 @@ let create ~(lib : Library.t) (region : Region.t) =
   let members = List.filter (fun (o : Dfg.op) -> o != hole && member.(o.Dfg.id)) (Array.to_list ops) in
   let ins = Array.init cap (fun id -> if present id then Dfg.in_edges dfg id else []) in
   let outs = Array.init cap (fun id -> if present id then Dfg.out_edges dfg id else []) in
-  let need =
-    Array.mapi
-      (fun id (op : Dfg.op) ->
-        match Opkind.rclass op.Dfg.kind with
-        | Opkind.R_wire -> None
-        | rc ->
-            let in_widths = List.map (fun e -> ops.(e.Dfg.src).Dfg.width) ins.(id) in
-            Some { Resource.rclass = rc; in_widths; out_width = op.Dfg.width })
-      ops
-  in
+  let need = Array.map (fun op -> if op == hole then None else Resource.of_op dfg op) ops in
   let delay = Array.map (function None -> 0.0 | Some rt -> Library.delay lib rt) need in
   let latency = Array.map (fun (op : Dfg.op) -> Library.op_latency lib op.Dfg.kind) ops in
   let port_src =
@@ -235,15 +175,11 @@ let create ~(lib : Library.t) (region : Region.t) =
     Hashtbl.fold (fun rt n acc -> (rt, n) :: acc) counts []
   in
   let class_ops = Array.make cap 0 in
-  let per_need = Hashtbl.create 16 in
-  List.iter (fun (rt, _) -> Hashtbl.replace per_need rt (mergeable needs rt)) needs;
   List.iter
     (fun (o : Dfg.op) ->
-      Option.iter (fun rt -> class_ops.(o.Dfg.id) <- Hashtbl.find per_need rt) need.(o.Dfg.id))
+      Option.iter (fun rt -> class_ops.(o.Dfg.id) <- mergeable needs rt) need.(o.Dfg.id))
     members;
   {
-    dfg;
-    lib;
     cap;
     ops;
     member;
@@ -262,7 +198,11 @@ let create ~(lib : Library.t) (region : Region.t) =
     pred_guard;
     succs;
     succ_guard;
-    topo = topo_order ~cap members succs;
+    topo =
+      Graph_algo.topo_sort
+        ~nodes:(List.map (fun (o : Dfg.op) -> o.Dfg.id) members)
+        ~succs:(fun id -> Array.to_list succs.(id))
+      |> Option.map Array.of_list;
     fanout = fanout_sizes ~cap members out0;
     class_key;
     class_ops;
@@ -270,8 +210,6 @@ let create ~(lib : Library.t) (region : Region.t) =
   }
 
 let cap t = t.cap
-let dfg t = t.dfg
-let lib t = t.lib
 let in_range t id = id >= 0 && id < t.cap
 
 let op t id =

@@ -30,9 +30,6 @@ val create : lib:Library.t -> Region.t -> t
 val cap : t -> int
 (** One past the largest op id of the DFG. *)
 
-val dfg : t -> Dfg.t
-val lib : t -> Library.t
-
 val op : t -> int -> Dfg.op
 (** The DFG's op record.  @raise Invalid_argument for ids it does not hold. *)
 
