@@ -82,39 +82,33 @@ let compute ?table ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (r
     (fun id ->
       let d = Op_table.delay tbl id in
       let lat = Op_table.latency tbl id in
-      let preds = Op_table.preds tbl id in
-      let is_guard = Op_table.pred_guard tbl id in
-      let n = Array.length preds in
-      (* earliest step considering register crossings of multi-cycle preds *)
-      let min_step = ref 0 in
-      for k = 0 to n - 1 do
-        let p = preds.(k) in
-        min_step := max !min_step (if f_multi.(p) then f_fin.(p) + 1 else f_fin.(p))
-      done;
+      (* earliest step considering register crossings of multi-cycle
+         preds *)
+      let min_step = ref 0 and has_data = ref false in
+      Op_table.iter_preds tbl id (fun p guard ->
+          min_step := max !min_step (if f_multi.(p) then f_fin.(p) + 1 else f_fin.(p));
+          if not guard then has_data := true);
       let arr_at step p = if (not f_multi.(p)) && f_fin.(p) = step then f_arr.(p) else ff in
-      let has_data = Array.exists not is_guard in
       let rec settle step =
         let in_arr =
           ref
-            (if has_data then 0.0
+            (if !has_data then 0.0
              else match (Op_table.op tbl id).Dfg.kind with Opkind.Const _ -> 0.0 | _ -> ff)
         in
-        for k = 0 to n - 1 do
-          if not is_guard.(k) then in_arr := fmax !in_arr (arr_at step preds.(k))
-        done;
+        (* the guard gates the commit enable in parallel with the datapath *)
+        let guard_arr = ref neg_infinity and guards_registered = ref true in
+        Op_table.iter_preds tbl id (fun p guard ->
+            let a = arr_at step p in
+            if not guard then in_arr := fmax !in_arr a
+            else begin
+              guard_arr := fmax !guard_arr a;
+              if a > ff +. 0.001 then guards_registered := false
+            end);
         let in_arr = !in_arr in
         let out = in_arr +. d in
-        (* the guard gates the commit enable in parallel with the datapath *)
-        let commit = ref out and guards_registered = ref true in
-        for k = 0 to n - 1 do
-          if is_guard.(k) then begin
-            let a = arr_at step preds.(k) in
-            commit := fmax !commit a;
-            if a > ff +. 0.001 then guards_registered := false
-          end
-        done;
+        let commit = fmax out !guard_arr in
         if lat > 1 then (step, out) (* multi-cycle: occupies whole steps *)
-        else if !commit +. overhead <= clock_ps then (step, out)
+        else if commit +. overhead <= clock_ps then (step, out)
         else if in_arr <= ff +. 0.001 && !guards_registered then
           (* already starts from registers; the op alone does not fit — the
              binder will face the same wall, keep the optimistic estimate *)
@@ -135,32 +129,23 @@ let compute ?table ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (r
     let id = order.(j) in
     let d = Op_table.delay tbl id in
     let lat = Op_table.latency tbl id in
-    let cons = Op_table.succs tbl id in
-    let via_guard = Op_table.succ_guard tbl id in
-    if Array.length cons = 0 then begin
-      b_step.(id) <- li - 1;
-      b_req.(id) <- req_last
-    end
-    else begin
-      let acc_step = ref max_int and acc_req = ref req_last in
-      Array.iteri
-        (fun k c ->
-          let c_start = b_step.(c) and c_req = b_req.(c) in
-          let cand_step, cand_req =
-            if Op_table.latency tbl c > 1 || lat > 1 then (c_start - lat, req_last)
-            else
-              (* deadline for our output: a guard must settle by the
-                 consumer's commit time, data by the consumer's input
-                 time (its output deadline minus its delay) *)
-              let budget = if via_guard.(k) then c_req else c_req -. Op_table.delay tbl c in
-              if budget -. d >= ff then (c_start, budget) else (c_start - 1, req_last)
-          in
-          acc_req := if cand_step < !acc_step then cand_req else fmin !acc_req cand_req;
-          acc_step := min !acc_step cand_step)
-        cons;
-      b_step.(id) <- !acc_step;
-      b_req.(id) <- !acc_req
-    end
+    (* an op without consumers may end at the last step *)
+    let acc_step = ref max_int and acc_req = ref req_last in
+    Op_table.iter_succs tbl id (fun c via_guard ->
+        let c_start = b_step.(c) and c_req = b_req.(c) in
+        let cand_step, cand_req =
+          if Op_table.latency tbl c > 1 || lat > 1 then (c_start - lat, req_last)
+          else
+            (* deadline for our output: a guard must settle by the
+               consumer's commit time, data by the consumer's input time
+               (its output deadline minus its delay) *)
+            let budget = if via_guard then c_req else c_req -. Op_table.delay tbl c in
+            if budget -. d >= ff then (c_start, budget) else (c_start - 1, req_last)
+        in
+        acc_req := if cand_step < !acc_step then cand_req else fmin !acc_req cand_req;
+        acc_step := min !acc_step cand_step);
+    b_step.(id) <- (if !acc_step = max_int then li - 1 else !acc_step);
+    b_req.(id) <- !acc_req
   done;
   (* ---- combine, clamp, detect infeasibility ---- *)
   let ranges = Array.make cap unanalyzed in

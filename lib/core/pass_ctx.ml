@@ -25,7 +25,7 @@ let refresh_scores ?(boosts = []) t ~weights ~aa =
   match t.ctx_scores_aa with
   | Some prev when prev == aa -> ()
   | _ ->
-      List.iter
+      Array.iter
         (fun o ->
           t.ctx_scores.(o.Dfg.id) <- Priority.score ~weights ~fanout:t.ctx_fanout aa o)
         (Op_table.members t.ctx_table);

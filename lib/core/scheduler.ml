@@ -240,10 +240,10 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   in
   let failed = Hashtbl.create 8 in
   let tbl = ctx.Pass_ctx.ctx_table in
-  let n_members = Op_table.n_members tbl in
   let members = Op_table.members tbl in
+  let n_members = Array.length members in
   let unplaced = Hashtbl.create n_members in
-  List.iter (fun o -> Hashtbl.replace unplaced o.Dfg.id o) members;
+  Array.iter (fun o -> Hashtbl.replace unplaced o.Dfg.id o) members;
   (* --- incremental readiness ---
      [pending.(op)] counts unplaced scheduling predecessors; an op enters
      the ready pool when it reaches zero.  [min_step] tracks the earliest
@@ -261,9 +261,9 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     Hashtbl.replace ready id op;
     if use_heap then Ready_heap.push heap ~score:scores.(id) id
   in
-  List.iter
+  Array.iter
     (fun o ->
-      let n = Array.length (Op_table.preds tbl o.Dfg.id) in
+      let n = Op_table.n_preds tbl o.Dfg.id in
       pending.(o.Dfg.id) <- n;
       if n = 0 then enter_ready o.Dfg.id o)
     members;
@@ -274,15 +274,13 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     let avail =
       if Op_table.latency tbl op_id > 1 then pl.Binding.pl_finish + 1 else pl.Binding.pl_finish
     in
-    Array.iter
-      (fun d ->
+    Op_table.iter_succs tbl op_id (fun d _ ->
         if Hashtbl.mem unplaced d then begin
           min_step.(d) <- max avail min_step.(d);
           let n = pending.(d) - 1 in
           pending.(d) <- n;
           if n = 0 then enter_ready d (Op_table.op tbl d)
         end)
-      (Op_table.succs tbl op_id)
   in
   let drop_failed op_id =
     Hashtbl.replace failed op_id ();
@@ -291,7 +289,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   in
   (* ops whose earliest feasible step falls beyond the latency interval can
      never bind in this pass: fail them up front with a window restraint *)
-  List.iter
+  Array.iter
     (fun o ->
       let r = Asap_alap.range aa o.Dfg.id in
       if r.Asap_alap.asap > li - 1 then begin
@@ -1010,7 +1008,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                List.iter consider !dirty_ops;
                List.iter (fun k -> List.iter consider (List.nth sccs k)) !moved_sccs;
                if aa_new != aa_old then begin
-                 List.iter
+                 Array.iter
                    (fun (o : Dfg.op) ->
                      let id = o.Dfg.id in
                      if Asap_alap.range aa_old id <> Asap_alap.range aa_new id then consider id)

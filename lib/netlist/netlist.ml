@@ -165,9 +165,6 @@ type t = {
   mutable wl_tail : int;
   mutable in_wl : int array;
   mutable prop_gen : int;
-  (* visit stamps of {!chain_source_insts} *)
-  mutable cs_seen : int array;
-  mutable cs_gen : int;
 }
 
 (* field accessors for the abstract [t] (the record itself stays private
@@ -227,8 +224,6 @@ let create ?table ~lib ~clock_ps (region : Region.t) =
     wl_tail = 0;
     in_wl = Array.make cap 0;
     prop_gen = 0;
-    cs_seen = Array.make cap 0;
-    cs_gen = 0;
   }
 
 let grow_arr a cap d =
@@ -254,7 +249,6 @@ let ensure_cap t id =
     t.gslots <- grow_with t.gslots cap fresh_bucket;
     t.gpos <- grow_arr t.gpos cap None;
     t.in_wl <- grow_arr t.in_wl cap 0;
-    t.cs_seen <- grow_arr t.cs_seen cap 0;
     t.cap <- cap
   end
 
@@ -1179,12 +1173,10 @@ let recompute_all t =
     check). *)
 let chain_source_insts t op_id ~step =
   let acc = ref [] in
-  t.cs_gen <- t.cs_gen + 1;
-  let gen = t.cs_gen in
+  let seen = Hashtbl.create 16 in
   let rec visit id =
-    ensure_cap t id;
-    if t.cs_seen.(id) <> gen then begin
-      t.cs_seen.(id) <- gen;
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.replace seen id ();
       if placed t id && t.pl_finish.(id) = step && lat_of t id <= 1 then
         match t.pl_inst.(id) with
         | -1 ->

@@ -34,10 +34,8 @@ val op : t -> int -> Dfg.op
 (** The DFG's op record.  @raise Invalid_argument for ids it does not hold. *)
 
 val is_member : t -> int -> bool
-val members : t -> Dfg.op list
+val members : t -> Dfg.op array
 (** Region members, ascending id. *)
-
-val n_members : t -> int
 
 val need : t -> int -> Resource.t option
 (** Resource type of the op given its operand widths; [None] for wire ops
@@ -67,20 +65,20 @@ val out0 : t -> int -> int array
 val gpreds : t -> int -> int array
 (** Guard predicate ops, in guard order. *)
 
-val preds : t -> int -> int array
-(** Scheduling predecessors of a member: distance-0 data inputs and guard
-    predicates that are members, ascending.  Empty for non-members. *)
+val n_preds : t -> int -> int
+(** Number of scheduling predecessors of a member (0 for non-members). *)
 
-val pred_guard : t -> int -> bool array
-(** Parallel to {!preds}: [true] for a guard predicate (which only has to
-    settle by the commit enable, even when it also feeds data). *)
+val iter_preds : t -> int -> (int -> bool -> unit) -> unit
+(** [iter_preds t id f] calls [f p guard] for each scheduling predecessor
+    [p] of a member: its distance-0 data inputs and guard predicates that
+    are members, ascending.  [guard] is [true] for a guard predicate,
+    which only has to settle by the commit enable, even when it also
+    feeds data. *)
 
-val succs : t -> int -> int array
-(** Reverse of {!preds}: the members that depend on the op, ascending. *)
-
-val succ_guard : t -> int -> bool array
-(** Parallel to {!succs}: [true] when the consumer reads the op only
-    through its guard. *)
+val iter_succs : t -> int -> (int -> bool -> unit) -> unit
+(** The reverse of {!iter_preds}, ascending: [f c guard] for each member
+    [c] that depends on the op, [guard] when [c] reads it only through its
+    guard. *)
 
 val topo : t -> int array option
 (** Members in scheduling-dependency order, ties by ascending id; [None]

@@ -89,8 +89,9 @@ let test_guard_is_dependency () =
   Dfg.connect dfg ~src:r.Dfg.id ~dst:guarded.Dfg.id ~port:1;
   let region = Region.create ~min_steps:4 ~max_steps:4 ~name:"g" dfg in
   let table = Hls_netlist.Op_table.create ~lib region in
-  let preds = Hls_netlist.Op_table.preds table guarded.Dfg.id in
-  Alcotest.(check bool) "guard pred is a scheduling dependency" true (Array.mem c.Dfg.id preds)
+  let preds = ref [] in
+  Hls_netlist.Op_table.iter_preds table guarded.Dfg.id (fun p _ -> preds := p :: !preds);
+  Alcotest.(check bool) "guard pred is a scheduling dependency" true (List.mem c.Dfg.id !preds)
 
 let suite =
   [

@@ -324,8 +324,90 @@ let test_prealloc_follows_width_merge () =
   Netlist.reset_pass net;
   Alcotest.(check bool) "widened instance is no longer shared" false i.Netlist.prealloc_shared
 
+(* The op table against the DFG queries it replaces: every static fact,
+   for every op of guarded, nested, pipelined and synthetic regions. *)
+let test_op_table_matches_dfg () =
+  let module T = Hls_netlist.Op_table in
+  let regions =
+    List.map
+      (fun (d, ii) -> Hls_frontend.Elaborate.main_region ?ii (Hls_frontend.Elaborate.design d))
+      [
+        (Hls_designs.Conv.design (), None);
+        (Hls_designs.Agc.design (), Some 2);
+        (Hls_designs.Idct.design (), Some 1);
+        (Hls_designs.Gemm.design (), Some 1);
+      ]
+    @ [ synthetic_region 7 ~ops:120 ]
+  in
+  List.iter
+    (fun (region : Region.t) ->
+      let dfg = region.Region.dfg in
+      let t = T.create ~lib region in
+      let is_member = Region.mem region in
+      Dfg.iter_ops dfg (fun op ->
+          let id = op.Dfg.id in
+          let ins = Dfg.in_edges dfg id in
+          Alcotest.(check bool) "op record shared" true (T.op t id == op);
+          Alcotest.(check bool) "membership" (is_member id) (T.is_member t id);
+          Alcotest.(check bool) "need" true (T.need t id = Resource.of_op dfg op);
+          Alcotest.(check bool) "in-edges" true (T.ins t id = ins);
+          List.iter
+            (fun (e : Dfg.edge) ->
+              Alcotest.(check int) "port source" e.Dfg.src (T.port_src t id ~port:e.Dfg.port))
+            ins;
+          Alcotest.(check (list int))
+            "distance-0 consumers"
+            (List.filter_map
+               (fun (e : Dfg.edge) -> if e.Dfg.distance = 0 then Some e.Dfg.dst else None)
+               (Dfg.out_edges dfg id))
+            (Array.to_list (T.out0 t id));
+          Alcotest.(check (list int)) "guard preds" (Guard.preds op.Dfg.guard)
+            (Array.to_list (T.gpreds t id));
+          Alcotest.(check int) "latency" (Library.op_latency lib op.Dfg.kind) (T.latency t id);
+          if is_member id then begin
+            Alcotest.(check int) "fanout cone" (Dfg.fanout_cone_size dfg id) (T.fanout t id);
+            let guards = List.filter is_member (Guard.preds op.Dfg.guard) in
+            let data =
+              List.filter_map
+                (fun (e : Dfg.edge) ->
+                  if e.Dfg.distance = 0 && is_member e.Dfg.src then Some e.Dfg.src else None)
+                ins
+            in
+            let preds = ref [] in
+            T.iter_preds t id (fun p g -> preds := (p, g) :: !preds);
+            Alcotest.(check (list (pair int bool)))
+              "scheduling preds, tagged"
+              (List.map (fun p -> (p, List.mem p guards)) (List.sort_uniq compare (data @ guards)))
+              (List.rev !preds);
+            Alcotest.(check int) "pred count" (List.length !preds) (T.n_preds t id);
+            T.iter_succs t id (fun c g ->
+                let back = ref None in
+                T.iter_preds t c (fun p pg -> if p = id then back := Some pg);
+                Alcotest.(check bool) "succ is the reverse" true (!back <> None);
+                let data_edge =
+                  List.exists
+                    (fun (e : Dfg.edge) -> e.Dfg.distance = 0 && e.Dfg.src = id)
+                    (Dfg.in_edges dfg c)
+                in
+                Alcotest.(check bool) "succ tag: read only through the guard" (not data_edge) g)
+          end);
+      match T.topo t with
+      | None -> Alcotest.fail "member dependencies reported cyclic"
+      | Some order ->
+          Alcotest.(check int) "every member ordered" (Region.n_members region) (Array.length order);
+          let pos = Hashtbl.create 64 in
+          Array.iteri (fun k id -> Hashtbl.replace pos id k) order;
+          Array.iter
+            (fun id ->
+              T.iter_preds t id (fun p _ ->
+                  Alcotest.(check bool) "pred ordered first" true
+                    (Hashtbl.find pos p < Hashtbl.find pos id)))
+            order)
+    regions
+
 let suite =
   [
+    Alcotest.test_case "op table matches the DFG queries" `Quick test_op_table_matches_dfg;
     Alcotest.test_case "prealloc flags follow a width merge" `Quick
       test_prealloc_follows_width_merge;
     Alcotest.test_case "rollback restores all observables" `Quick test_rollback_restores;
