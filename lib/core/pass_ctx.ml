@@ -8,7 +8,6 @@ module Op_table = Hls_netlist.Op_table
 
 type t = {
   ctx_table : Op_table.t;
-  ctx_fanout : int -> int;
   ctx_scores : float array;
   mutable ctx_scores_aa : Asap_alap.t option;
 }
@@ -16,7 +15,6 @@ type t = {
 let create table =
   {
     ctx_table = table;
-    ctx_fanout = Op_table.fanout table;
     ctx_scores = Array.make (Op_table.cap table) 0.0;
     ctx_scores_aa = None;
   }
@@ -27,7 +25,7 @@ let refresh_scores ?(boosts = []) t ~weights ~aa =
   | _ ->
       Array.iter
         (fun o ->
-          t.ctx_scores.(o.Dfg.id) <- Priority.score ~weights ~fanout:t.ctx_fanout aa o)
+          t.ctx_scores.(o.Dfg.id) <- Priority.score ~weights ~fanout:(Op_table.fanout t.ctx_table) aa o)
         (Op_table.members t.ctx_table);
       (* feedback priority boosts: additive deltas on top of the base
          score.  Constant for the lifetime of a schedule call, so the

@@ -14,8 +14,7 @@
 
 type t = {
   ctx_table : Hls_netlist.Op_table.t;
-      (** members, scheduling preds/succs, class keys *)
-  ctx_fanout : int -> int;  (** fanout-cone size, from the op table *)
+      (** members, scheduling preds/succs, fanout cones, class keys *)
   ctx_scores : float array;  (** by op id: priority scores under the last aa *)
   mutable ctx_scores_aa : Asap_alap.t option;
       (** the aa value [ctx_scores] was computed from (physical identity) *)
